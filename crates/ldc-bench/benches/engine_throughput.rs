@@ -1,6 +1,6 @@
 //! Round-engine throughput bench: times `Network::exchange` hot-path
 //! workloads (sparse flood, dense clique, rings up to 5M nodes) across
-//! the three executors and a thread sweep (t = 1/2/4/8, keyed `mode@tN`
+//! both executors and a thread sweep (t = 1/2/4/8, keyed `mode@tN`
 //! like BENCH_solver.json), and writes `BENCH_engine.json` at the repo
 //! root, seeding the perf trajectory (`BENCH_*.json`).
 //!
@@ -12,12 +12,12 @@
 //!
 //! `--scale-smoke` runs the bounded million-node determinism smoke
 //! instead of timing: a 1M-node ring with a t = 1/2 sweep plus a 10M-node
-//! ring round, byte-diffing final states across serial/pooled/scoped —
+//! ring round, byte-diffing final states across serial/pooled —
 //! the CI `engine-scale-smoke` job. Exit code 1 on any divergence.
 
 use ldc_graph::{generators, Graph};
 use ldc_sim::json::json_string;
-use ldc_sim::par::default_threads;
+use ldc_sim::pool::default_threads;
 use ldc_sim::{Bandwidth, ExecMode, Network, Outbox};
 use std::hint::black_box;
 use std::time::Instant;
@@ -80,22 +80,20 @@ fn exchange_round(net: &mut Network<'_>, states: &mut [u64]) {
 /// byte-identical final states across every executor. Returns failures.
 fn scale_smoke() -> Vec<String> {
     let mut failures = Vec::new();
-    // 1M-node ring, 3 rounds, full executor × thread matrix.
+    // 1M-node ring, 3 rounds, pooled × thread sweep against serial.
     let ring_1m = generators::ring(1_000_000);
     println!("scale-smoke: ring_1m generated ({} nodes)", 1_000_000);
     let (_, reference) = run_workload(&ring_1m, ExecMode::Sequential, 1, usize::MAX, 3);
-    for (mname, mode) in [("pooled", ExecMode::Pooled), ("scoped", ExecMode::Scoped)] {
-        for threads in [1usize, 2] {
-            let (secs, states) = run_workload(&ring_1m, mode, threads, 0, 3);
-            let verdict = if states == reference {
-                "ok"
-            } else {
-                "DIVERGED"
-            };
-            println!("scale-smoke: ring_1m/{mname}@t{threads} {secs:.3}s  {verdict}");
-            if states != reference {
-                failures.push(format!("ring_1m/{mname}@t{threads}: states diverged"));
-            }
+    for threads in [1usize, 2] {
+        let (secs, states) = run_workload(&ring_1m, ExecMode::Pooled, threads, 0, 3);
+        let verdict = if states == reference {
+            "ok"
+        } else {
+            "DIVERGED"
+        };
+        println!("scale-smoke: ring_1m/pooled@t{threads} {secs:.3}s  {verdict}");
+        if states != reference {
+            failures.push(format!("ring_1m/pooled@t{threads}: states diverged"));
         }
     }
     // 10M-node ring: one round per executor, still byte-identical. This is
@@ -180,19 +178,13 @@ fn main() {
         ]
     };
 
-    // Serial is thread-independent (one row); the parallel executors sweep
+    // Serial is thread-independent (one row); the pooled executor sweeps
     // t = 1/2/4/8 — `t1` doubles as the overhead-neutrality baseline the
     // efficiency gate compares against.
-    let sweep: &[usize] = &[1, 2, 4, 8];
-    let modes: Vec<(&'static str, ExecMode, usize, usize)> = {
-        let mut m: Vec<(&'static str, ExecMode, usize, usize)> =
-            vec![("serial", ExecMode::Sequential, 1, usize::MAX)];
-        for &t in sweep {
-            m.push(("pooled", ExecMode::Pooled, t, 0));
-            m.push(("scoped", ExecMode::Scoped, t, 0));
-        }
-        m
-    };
+    let modes: Vec<(&'static str, ExecMode, usize, usize)> =
+        std::iter::once(("serial", ExecMode::Sequential, 1, usize::MAX))
+            .chain([1, 2, 4, 8].map(|t| ("pooled", ExecMode::Pooled, t, 0)))
+            .collect();
 
     let mut cases: Vec<Case> = Vec::new();
     for (wname, g, rounds, wsamples) in &workloads {

@@ -20,16 +20,18 @@
 //! longitudinal history as one manifest-stamped JSONL row (see
 //! `ldc_bench::history`); appending happens before the pass/fail verdict,
 //! so regressions land in the trajectory too. `ldc report` renders the
-//! trend.
+//! trend. The row is appended in place: existing history bytes are never
+//! rewritten, and only a missing file starts an empty history.
 //!
-//! The parser is deliberately matched to the writer in
-//! `benches/engine_throughput.rs` (both hand-rolled; the workspace has no
-//! JSON dependency): flat string/number fields inside the `"cases"`
-//! array.
+//! Both bench files are read with `ldc_batch::jsonin`; every entry of the
+//! `"cases"` array must carry `workload`, `mode` and `median_secs`. An
+//! unreadable or malformed file exits with code 2.
 
+use ldc_batch::jsonin::Value;
 use ldc_bench::cli;
 use ldc_bench::history::{render_row, HistoryCase};
 use ldc_sim::telemetry::RunManifest;
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::process::ExitCode;
 
 /// One benchmark case: the identity key plus the gated statistic.
@@ -40,61 +42,73 @@ struct Row {
     median_secs: f64,
 }
 
-/// Extract the string value of `"key": "…"` from a flat JSON object.
-fn str_field(obj: &str, key: &str) -> Option<String> {
-    let quoted = format!("\"{key}\"");
-    let at = obj.find(&quoted)? + quoted.len();
-    let rest = obj[at..].trim_start().strip_prefix(':')?.trim_start();
-    let rest = rest.strip_prefix('"')?;
-    Some(rest[..rest.find('"')?].to_string())
-}
-
-/// Extract the numeric value of `"key": 1.25` from a flat JSON object.
-fn num_field(obj: &str, key: &str) -> Option<f64> {
-    let quoted = format!("\"{key}\"");
-    let at = obj.find(&quoted)? + quoted.len();
-    let rest = obj[at..].trim_start().strip_prefix(':')?.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Parse the `"cases"` array of a `BENCH_engine*.json` file.
-fn parse_rows(json: &str) -> Vec<Row> {
-    let Some(cases_at) = json.find("\"cases\"") else {
-        return Vec::new();
-    };
-    let mut rows = Vec::new();
-    let mut rest = &json[cases_at..];
-    while let Some(open) = rest.find('{') {
-        let Some(close) = rest[open..].find('}') else {
-            break;
-        };
-        let obj = &rest[open..open + close];
-        if let (Some(workload), Some(mode), Some(median_secs)) = (
-            str_field(obj, "workload"),
-            str_field(obj, "mode"),
-            num_field(obj, "median_secs"),
-        ) {
+/// Parse a `BENCH_*.json` file into its `"bench"` name (`"unknown"` when
+/// absent) and its gated rows.
+fn parse_bench(json: &str) -> Result<(String, Vec<Row>), String> {
+    let doc = Value::parse(json)?;
+    let bench = doc
+        .get("bench")
+        .and_then(Value::as_str)
+        .unwrap_or("unknown");
+    let cases = doc
+        .get("cases")
+        .and_then(Value::as_arr)
+        .ok_or("missing \"cases\" array")?;
+    let rows = cases
+        .iter()
+        .enumerate()
+        .map(|(i, case)| {
+            let text = |key: &str| {
+                case.get(key)
+                    .and_then(Value::as_str)
+                    .ok_or_else(|| format!("case {i}: missing string field {key:?}"))
+            };
+            let (workload, mode) = (text("workload")?, text("mode")?);
+            let median_secs = case
+                .get("median_secs")
+                .and_then(Value::as_f64)
+                .ok_or_else(|| format!("case {i}: missing number field \"median_secs\""))?;
             // Thread-sweep rows (solver bench) carry a `threads` field;
             // fold it into the mode key so each pool width is gated and
             // tracked in the history separately. Absent or 1 → bare mode,
             // which keeps engine-bench and pre-sweep baselines parsing
             // unchanged.
-            let mode = match num_field(obj, "threads") {
+            let mode = match case.get("threads").and_then(Value::as_f64) {
                 Some(t) if t != 1.0 => format!("{mode}@t{t:.0}"),
-                _ => mode,
+                _ => mode.to_string(),
             };
-            rows.push(Row {
-                workload,
+            Ok(Row {
+                workload: workload.to_string(),
                 mode,
                 median_secs,
-            });
-        }
-        rest = &rest[open + close + 1..];
+            })
+        })
+        .collect::<Result<_, String>>()?;
+    Ok((bench.to_string(), rows))
+}
+
+/// Read and parse one bench file, naming the file in any error.
+fn load_bench(path: &str) -> Result<(String, Vec<Row>), String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    parse_bench(&text).map_err(|e| format!("cannot parse {path}: {e}"))
+}
+
+/// Append one JSONL `line` to the history file at `path` without touching
+/// the bytes already there (a missing file is created). A newline is
+/// inserted first if the file does not already end with one.
+fn append_history(path: &str, line: &str) -> std::io::Result<()> {
+    let mut file = std::fs::OpenOptions::new()
+        .read(true)
+        .append(true)
+        .create(true)
+        .open(path)?;
+    let mut last = [b'\n'];
+    if file.metadata()?.len() > 0 {
+        file.seek(SeekFrom::End(-1))?;
+        file.read_exact(&mut last)?;
     }
-    rows
+    let sep = if last[0] == b'\n' { "" } else { "\n" };
+    writeln!(file, "{sep}{line}")
 }
 
 /// Gate parallel-vs-serial scaling efficiency on the *fresh* run: for
@@ -248,13 +262,14 @@ fn main() -> ExitCode {
         }
     };
 
-    let read = |path: &str| -> String {
-        std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("bench_gate: cannot read {path}: {e}"))
+    let ((_, baseline), (bench, fresh)) = match (load_bench(baseline_path), load_bench(fresh_path))
+    {
+        (Ok(b), Ok(f)) => (b, f),
+        (Err(e), _) | (_, Err(e)) => {
+            eprintln!("bench_gate: {e}");
+            return ExitCode::from(2);
+        }
     };
-    let baseline = parse_rows(&read(baseline_path));
-    let fresh_text = read(fresh_path);
-    let fresh = parse_rows(&fresh_text);
     if baseline.is_empty() {
         eprintln!("bench_gate: no cases parsed from baseline {baseline_path}");
         return ExitCode::from(2);
@@ -263,7 +278,6 @@ fn main() -> ExitCode {
     // Append the fresh run to the longitudinal history before gating, so
     // regressions become part of the trajectory rather than vanishing.
     if let Some(history_path) = parsed.get("--history") {
-        let bench = str_field(&fresh_text, "bench").unwrap_or_else(|| "unknown".into());
         let manifest = RunManifest::capture("bench", 0, &bench);
         let cases: Vec<HistoryCase> = fresh
             .iter()
@@ -274,14 +288,10 @@ fn main() -> ExitCode {
             })
             .collect();
         let line = render_row(&bench, &manifest, &cases);
-        let mut text = std::fs::read_to_string(history_path).unwrap_or_default();
-        if !text.is_empty() && !text.ends_with('\n') {
-            text.push('\n');
+        if let Err(e) = append_history(history_path, &line) {
+            eprintln!("bench_gate: cannot append to {history_path}: {e}");
+            return ExitCode::from(2);
         }
-        text.push_str(&line);
-        text.push('\n');
-        std::fs::write(history_path, text)
-            .unwrap_or_else(|e| panic!("bench_gate: cannot write {history_path}: {e}"));
         println!(
             "bench_gate: appended {} cases of bench {bench} to {history_path}",
             cases.len()
@@ -328,15 +338,38 @@ mod tests {
   ]
 }"#;
 
+    fn parse_rows(json: &str) -> Vec<Row> {
+        parse_bench(json).expect("valid bench file").1
+    }
+
     #[test]
     fn parses_the_emitted_format() {
-        let rows = parse_rows(SAMPLE);
+        let (bench, rows) = parse_bench(SAMPLE).unwrap();
+        assert_eq!(bench, "engine_throughput");
         assert_eq!(rows.len(), 3);
         assert_eq!(rows[0].workload, "sparse_gnp_10k");
         assert_eq!(rows[0].mode, "serial");
         assert!((rows[0].median_secs - 0.02).abs() < 1e-12);
         assert_eq!(rows[2].mode, "serial");
         assert!((rows[2].median_secs - 0.004).abs() < 1e-12);
+
+        // A `}` inside a string value does not end the case object.
+        let braced = r#"{"cases": [{"workload": "w}x", "mode": "m", "median_secs": 0.5}]}"#;
+        let rows = parse_rows(braced);
+        assert_eq!(rows.len(), 1);
+        assert_eq!(rows[0].workload, "w}x");
+        assert_eq!(rows[0].mode, "m");
+        assert!((rows[0].median_secs - 0.5).abs() < 1e-12);
+
+        // Malformed files are errors, not partial row lists.
+        for bad in [
+            &SAMPLE[..SAMPLE.len() / 2],
+            r#"{"bench": "x"}"#,
+            r#"{"cases": [{"workload": "w", "mode": "m"}]}"#,
+            r#"{"cases": [{"workload": "w", "mode": 3, "median_secs": 0.1}]}"#,
+        ] {
+            assert!(parse_bench(bad).is_err(), "accepted {bad}");
+        }
     }
 
     #[test]
@@ -435,7 +468,7 @@ mod tests {
             },
             Row {
                 workload: "w".into(),
-                mode: "scoped@t8".into(),
+                mode: "pooled@t8".into(),
                 median_secs: 0.09,
             },
         ];

@@ -715,7 +715,7 @@ pub fn e8_slack_transition(quick: bool) -> Table {
 }
 
 /// E9 — simulator throughput (HPC angle): node-steps/s, serial vs the
-/// pooled and scoped parallel executors, plus the no-op-tracer and
+/// pooled parallel executor, plus the no-op-tracer and
 /// enabled-tracer overhead rows.
 pub fn e9_simulator_throughput(quick: bool) -> Table {
     let mut t = Table::new(
@@ -733,7 +733,6 @@ pub fn e9_simulator_throughput(quick: bool) -> Table {
         for (mode, threshold, exec, trace) in [
             ("serial", usize::MAX, ldc_sim::ExecMode::Sequential, false),
             ("pooled", 0usize, ldc_sim::ExecMode::Pooled, false),
-            ("scoped", 0usize, ldc_sim::ExecMode::Scoped, false),
             (
                 "serial+trace",
                 usize::MAX,
@@ -744,7 +743,7 @@ pub fn e9_simulator_throughput(quick: bool) -> Table {
             let mut net = Network::new(&g, Bandwidth::Local);
             net.set_parallel_threshold(threshold);
             net.set_exec_mode(exec);
-            net.set_threads(ldc_sim::par::default_threads().max(2));
+            net.set_threads(ldc_sim::pool::default_threads().max(2));
             let tracer = if trace {
                 Tracer::new()
             } else {
@@ -786,7 +785,7 @@ pub fn e9_simulator_throughput(quick: bool) -> Table {
         std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1)
     ));
     t.note("serial runs with the no-op tracer (the default — one branch per round); serial+trace runs with an enabled tracer and an open span, bounding the full tracing overhead.");
-    t.note("pooled dispatches chunk jobs to the persistent worker pool (threads spawned once per process); scoped spawns std::thread::scope workers per phase — the pre-pool behavior, kept as a comparison row.");
+    t.note("pooled dispatches chunk jobs to the persistent worker pool (threads spawned once per process).");
     t
 }
 

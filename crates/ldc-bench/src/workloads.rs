@@ -1,5 +1,5 @@
-//! Shared workload builders for the experiment suite and the criterion
-//! benches. Everything is seeded and deterministic.
+//! Shared workload builders for the experiment suite and the solver
+//! bench. Everything is seeded and deterministic.
 
 use ldc_core::problem::{Color, DefectList};
 use ldc_core::{OldcCtx, ParamProfile};

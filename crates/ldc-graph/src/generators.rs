@@ -377,10 +377,14 @@ pub fn preferential_attachment(n: usize, m: usize, seed: u64) -> Graph {
         }
     }
     for v in (m + 1)..n {
-        let mut targets = std::collections::HashSet::with_capacity(m);
+        // Targets in draw order (not hash order), so the graph is a pure
+        // function of the seed.
+        let mut targets: Vec<NodeId> = Vec::with_capacity(m);
         while targets.len() < m {
             let t = endpoints[r.gen_range(0..endpoints.len())];
-            targets.insert(t);
+            if !targets.contains(&t) {
+                targets.push(t);
+            }
         }
         for &t in &targets {
             b.add_edge(v as NodeId, t);
@@ -603,6 +607,18 @@ mod tests {
             "expected a hub, max deg = {}",
             g.max_degree()
         );
+    }
+
+    #[test]
+    fn preferential_attachment_is_a_function_of_the_seed() {
+        for (n, m, seed) in [(200, 3, 11), (500, 2, 7), (1000, 5, 3)] {
+            let a = preferential_attachment(n, m, seed);
+            let b = preferential_attachment(n, m, seed);
+            assert!(
+                a == b,
+                "n={n} m={m} seed={seed}: same seed, different graphs"
+            );
+        }
     }
 
     #[test]

@@ -3,8 +3,7 @@
 use crate::faults::{FaultPlan, RetryPolicy};
 use crate::message::MessageSize;
 use crate::metrics::{Metrics, RoundStats};
-use crate::par::{default_threads, scoped_for_each_chunk};
-use crate::pool::{pool_execute, DisjointChunks, MAX_CHUNKS};
+use crate::pool::{default_threads, pool_execute, DisjointChunks, MAX_CHUNKS};
 use crate::trace::Tracer;
 use crate::wire::WireBuf;
 pub use crate::wire::{Inbox, Outbox};
@@ -43,10 +42,8 @@ pub enum ExecMode {
     /// (threads are spawned once per process, not per round).
     #[default]
     Pooled,
-    /// Spawn `std::thread::scope` workers for every phase (the pre-pool
-    /// behavior; kept for comparison and differential testing).
-    Scoped,
-    /// Never parallelize, regardless of thresholds.
+    /// Never parallelize, regardless of thresholds (the reference the
+    /// pooled executor is checked against).
     Sequential,
 }
 
@@ -92,32 +89,6 @@ impl fmt::Display for SimError {
 }
 
 impl std::error::Error for SimError {}
-
-/// Run one phase's chunks on the executor selected by `mode` (inline when
-/// the round is not parallel).
-fn dispatch(
-    mode: ExecMode,
-    threads: usize,
-    parallel: bool,
-    chunks: usize,
-    run_chunk: &(dyn Fn(usize) + Sync),
-) {
-    if !parallel {
-        for c in 0..chunks {
-            run_chunk(c);
-        }
-        return;
-    }
-    match mode {
-        ExecMode::Pooled => pool_execute(threads, chunks, run_chunk),
-        ExecMode::Scoped => scoped_for_each_chunk(chunks, threads, run_chunk),
-        ExecMode::Sequential => {
-            for c in 0..chunks {
-                run_chunk(c);
-            }
-        }
-    }
-}
 
 /// Per-chunk result of the fused compose + accounting pass.
 #[derive(Default, Clone)]
@@ -536,7 +507,8 @@ impl<'g> Network<'g> {
             1
         };
         self.buffers.ensure_chunk_bounds(&self.prefix, chunks);
-        let (mode, threads) = (self.exec_mode, self.threads);
+        // A non-parallel round is one chunk, which `pool_execute` runs inline.
+        let threads = self.threads;
         let round = self.metrics.rounds();
 
         // Fault plan hooks: an injected transient error aborts the attempt
@@ -626,7 +598,7 @@ impl<'g> Network<'g> {
                     }
                 }
             };
-            dispatch(mode, threads, parallel, chunks, &run_chunk);
+            pool_execute(threads, chunks, &run_chunk);
         }
 
         // Reduce per-chunk outcomes. Chunks are in node order, so the
@@ -697,7 +669,7 @@ impl<'g> Network<'g> {
                     );
                 }
             };
-            dispatch(mode, threads, parallel, chunks, &run_chunk);
+            pool_execute(threads, chunks, &run_chunk);
         }
 
         self.buffers.store_wire(wire);
@@ -995,7 +967,6 @@ mod tests {
         };
         let sequential = run(usize::MAX, ExecMode::Pooled);
         assert_eq!(sequential, run(0, ExecMode::Pooled));
-        assert_eq!(sequential, run(0, ExecMode::Scoped));
     }
 
     /// Regression for the node-count-keyed switch: a small-n/high-degree

@@ -20,7 +20,7 @@
 //!
 //! Every fault decision is a **pure function** of
 //! `(plan seed, round, attempt, index)` — never of executor, thread
-//! count, or iteration order — so pooled, scoped, and sequential
+//! count, or iteration order — so pooled and sequential
 //! execution of the same plan produce byte-identical states and metrics
 //! (asserted by `tests/faults.rs`). A plan with all rates zero, no
 //! windows, and no schedule is a true no-op: the run is byte-identical

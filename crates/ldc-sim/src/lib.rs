@@ -60,7 +60,6 @@ pub mod faults;
 pub mod json;
 pub mod message;
 pub mod metrics;
-pub mod par;
 #[allow(unsafe_code)]
 pub mod pool;
 pub mod telemetry;

@@ -236,6 +236,13 @@ pub fn pool_execute<F: Fn(usize) + Sync>(threads: usize, chunks: usize, f: F) {
     pool().execute(threads, chunks, &f);
 }
 
+/// Number of worker threads to use for data-parallel node stepping.
+pub fn default_threads() -> usize {
+    std::thread::available_parallelism()
+        .map(|p| p.get())
+        .unwrap_or(1)
+}
+
 /// Total pool worker threads ever spawned by this process (monotonic).
 /// Steady-state engine rounds must not move this counter — asserted by the
 /// `engine_modes` integration tests.
@@ -252,7 +259,7 @@ pub fn threads_spawned() -> u64 {
 /// story sound: two `take` calls can never return overlapping slices, even
 /// racing from different threads. At most [`MAX_CHUNKS`] chunks.
 ///
-/// This is the safe façade the engine uses to hand each pool/scoped worker
+/// This is the safe façade the engine uses to hand each pool worker
 /// its slice of the round's wire buffer and state array without building a
 /// per-round table of `n` slices.
 pub struct DisjointChunks<'a, T> {

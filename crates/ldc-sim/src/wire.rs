@@ -4,7 +4,7 @@
 //! original wire buffer was a `Vec<Option<M>>` — every slot paid
 //! `size_of::<Option<M>>()` bytes of clear + scan traffic per round even
 //! when empty, which made million-slot rounds memory-bound long before
-//! they were compute-bound. [`WireBuf`] splits the representation:
+//! they were compute-bound. `WireBuf` splits the representation:
 //!
 //! * a **presence bitmap** (`Vec<AtomicU64>`, one bit per slot) — the
 //!   bit-packed part of the layout. Clearing a round is `total/64` word
@@ -41,7 +41,7 @@
 //! # Safety invariant
 //!
 //! `bit set ⟺ payload slot initialized`, established by [`Outbox::send`]
-//! and torn down by [`Outbox::clear`] / [`WireBuf::reset`] / `Drop`.
+//! and torn down by `Outbox::clear` / `WireBuf::reset` / `Drop`.
 //! Every `unsafe` block in this module relies on it and nothing else; the
 //! crate is `deny(unsafe_code)` with an allowance for this module and
 //! `pool`.

@@ -1,7 +1,7 @@
 //! Integration tests for the round-engine hot path: steady-state buffer
 //! reuse, zero per-round thread spawns in pooled mode, executor-mode
-//! equivalence (pooled / scoped / sequential must be indistinguishable in
-//! states and metrics), and recovery after a CONGEST violation.
+//! equivalence (pooled and sequential must be indistinguishable in states
+//! and metrics), and recovery after a CONGEST violation.
 
 use ldc_graph::generators;
 use ldc_rand::Rng;
@@ -90,7 +90,7 @@ fn pooled_mode_spawns_no_threads_per_round() {
     );
 }
 
-/// Pooled-parallel, scoped-parallel, and sequential execution must produce
+/// Pooled-parallel and sequential execution must produce
 /// byte-identical states and identical per-round metrics, across seeds,
 /// graph shapes, and thread counts (t = 1/2/4/8 — the bench sweep's
 /// widths; chunking changes with `t`, output must not).
@@ -118,18 +118,16 @@ fn all_exec_modes_agree_across_seeds() {
             };
 
         let (seq_states, seq_rounds) = run(ExecMode::Sequential, 1, 0);
-        for mode in [ExecMode::Pooled, ExecMode::Scoped] {
-            for threads in [1usize, 2, 4, 8] {
-                let (states, per_round) = run(mode, threads, 0);
-                assert_eq!(
-                    states, seq_states,
-                    "case {case}: {mode:?}@t{threads} states diverged"
-                );
-                assert_eq!(
-                    per_round, seq_rounds,
-                    "case {case}: {mode:?}@t{threads} metrics diverged"
-                );
-            }
+        for threads in [1usize, 2, 4, 8] {
+            let (states, per_round) = run(ExecMode::Pooled, threads, 0);
+            assert_eq!(
+                states, seq_states,
+                "case {case}: pooled@t{threads} states diverged"
+            );
+            assert_eq!(
+                per_round, seq_rounds,
+                "case {case}: pooled@t{threads} metrics diverged"
+            );
         }
     }
 }
@@ -260,7 +258,6 @@ fn violation_choice_is_deterministic_across_modes() {
     };
     let sequential = run(ExecMode::Sequential, usize::MAX);
     assert_eq!(sequential, run(ExecMode::Pooled, 0));
-    assert_eq!(sequential, run(ExecMode::Scoped, 0));
     match sequential {
         SimError::BandwidthExceeded { node, port, .. } => {
             assert_eq!((node, port), (13, 0), "first offender in node order");

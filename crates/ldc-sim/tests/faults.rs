@@ -96,7 +96,7 @@ fn zero_fault_plans_are_noops() {
         assert!(plan.is_noop());
 
         let baseline = run_mix(&g, None, ExecMode::Sequential, usize::MAX, rounds);
-        for mode in [ExecMode::Sequential, ExecMode::Pooled, ExecMode::Scoped] {
+        for mode in [ExecMode::Sequential, ExecMode::Pooled] {
             let faulty = run_mix(&g, Some(plan.clone()), mode, 0, rounds);
             assert_eq!(faulty, baseline, "case {case}: {mode:?} diverged");
         }
@@ -105,7 +105,7 @@ fn zero_fault_plans_are_noops() {
     }
 }
 
-/// Tentpole acceptance: pooled / scoped / sequential executors produce
+/// Pooled and sequential executors produce
 /// byte-identical final states and identical `Metrics` (including the new
 /// drop/fault counters) under the *same* seeded lossy `FaultPlan`.
 #[test]
@@ -134,10 +134,8 @@ fn all_exec_modes_agree_under_seeded_faults() {
             "case {case}: the plan must actually drop something"
         );
         assert!(baseline.3 > 0, "case {case}: some node-round faults");
-        for mode in [ExecMode::Pooled, ExecMode::Scoped] {
-            let faulty = run_mix(&g, Some(plan.clone()), mode, 0, rounds);
-            assert_eq!(faulty, baseline, "case {case}: {mode:?} diverged");
-        }
+        let faulty = run_mix(&g, Some(plan.clone()), ExecMode::Pooled, 0, rounds);
+        assert_eq!(faulty, baseline, "case {case}: pooled diverged");
     }
 }
 
