@@ -29,7 +29,7 @@ use ldc_core::single_defect::solve_single_defect;
 use ldc_core::validate::{
     validate_arbdefective, validate_ldc, validate_oldc, validate_proper_list_coloring,
 };
-use ldc_core::SolveOptions;
+use ldc_core::{KernelStats, SolveOptions};
 use ldc_graph::{generators, DirectedView, ProperColoring};
 use ldc_sim::{Bandwidth, FaultPlan, Network, RetryPolicy, SpanNode, Tracer};
 
@@ -329,7 +329,14 @@ pub fn e4_colorspace_reduction(quick: bool) -> Table {
             kappa_p: kappa,
         };
         let mut net = Network::new(&g, Bandwidth::Local);
-        match reduce_color_space(&mut net, &ctx, &lists, cfg, &Theorem11Solver) {
+        match reduce_color_space(
+            &mut net,
+            &ctx,
+            &lists,
+            cfg,
+            &Theorem11Solver::default(),
+            &mut KernelStats::default(),
+        ) {
             Ok(colors) => {
                 let colors: Vec<u64> = colors.iter().map(|c| c.unwrap()).collect();
                 let valid = validate_oldc(&view, &lists, &colors).is_ok();
@@ -387,9 +394,15 @@ pub fn e5_arbdefective(quick: bool, traces: &mut Vec<SpanNode>) -> Table {
             let tracer = Tracer::new();
             let mut net = Network::new(&g, Bandwidth::Local);
             net.set_tracer(tracer.clone());
-            let (colors, orientation, rep) =
-                solve_list_arbdefective(&mut net, q, &lists, &init, &cfg, &Theorem11Solver)
-                    .unwrap();
+            let (colors, orientation, rep) = solve_list_arbdefective(
+                &mut net,
+                q,
+                &lists,
+                &init,
+                &cfg,
+                &Theorem11Solver::default(),
+            )
+            .unwrap();
             let valid = validate_arbdefective(&g, &lists, &colors, &orientation).is_ok();
             let sub_tag = if substrate == Substrate::Sequential {
                 "seq"

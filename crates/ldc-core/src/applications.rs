@@ -80,7 +80,7 @@ pub fn arbdefective_via_theorem13(
         seed,
     };
     let (colors, orientation, _report) =
-        solve_list_arbdefective(net, q, &lists, &init, &cfg, &Theorem11Solver)?;
+        solve_list_arbdefective(net, q, &lists, &init, &cfg, &Theorem11Solver::default())?;
     Ok((colors, q, orientation))
 }
 

@@ -117,11 +117,11 @@ impl MessageSize for ColorAnnounce {
 /// Theorem 1.3). Returns the coloring and the witnessing orientation.
 ///
 /// Kernel-mode wiring: the inner OLDC calls go through the generic
-/// `solver` parameter, so [`crate::colorspace::Theorem11Solver`] runs the
-/// packed/memoized kernels (the default) while
-/// [`crate::colorspace::ReferenceKernelSolver`] re-routes the whole driver
-/// through the naive kernels — `tests/kernels.rs` diffs the two end to end
-/// (colors, orientation, rounds, bits must be byte-identical).
+/// `solver` parameter, so a [`crate::colorspace::Theorem11Solver`] runs
+/// whatever [`crate::kernels::KernelConfig`] it carries — the
+/// packed/memoized kernels by default, the naive ones under
+/// `KernelMode::Reference` — and `tests/kernels.rs` diffs the two end to
+/// end (colors, orientation, rounds, bits must be byte-identical).
 pub fn solve_list_arbdefective<S: OldcSolver>(
     net: &mut Network<'_>,
     space: u64,
@@ -332,7 +332,7 @@ pub fn solve_list_arbdefective<S: OldcSolver>(
                 profile: cfg.profile,
                 seed: cfg.seed ^ (u64::from(report.oldc_calls) << 32),
             };
-            let picked = solver.solve_stats(net, &ctx, &call_lists, &mut report.kernels)?;
+            let picked = solver.solve(net, &ctx, &call_lists, &mut report.kernels)?;
 
             let mut fresh: Vec<Option<Color>> = vec![None; n];
             for v in 0..n {
@@ -582,8 +582,15 @@ mod tests {
         let mut net = Network::new(&g, Bandwidth::Local);
         let init = ProperColoring::by_id(&g);
         let cfg = cfg_for(8, space, 120);
-        let (colors, report) =
-            solve_degree_plus_one(&mut net, space, &lists, &init, &cfg, &Theorem11Solver).unwrap();
+        let (colors, report) = solve_degree_plus_one(
+            &mut net,
+            space,
+            &lists,
+            &init,
+            &cfg,
+            &Theorem11Solver::default(),
+        )
+        .unwrap();
         assert_eq!(validate_proper_list_coloring(&g, &lists, &colors), Ok(()));
         assert!(report.stages >= 1 && report.oldc_calls >= 1);
     }
@@ -596,8 +603,15 @@ mod tests {
         let mut net = Network::new(&g, Bandwidth::Local);
         let init = ProperColoring::by_id(&g);
         let cfg = cfg_for(g.max_degree(), space, 150);
-        let (colors, _) =
-            solve_degree_plus_one(&mut net, space, &lists, &init, &cfg, &Theorem11Solver).unwrap();
+        let (colors, _) = solve_degree_plus_one(
+            &mut net,
+            space,
+            &lists,
+            &init,
+            &cfg,
+            &Theorem11Solver::default(),
+        )
+        .unwrap();
         assert_eq!(validate_proper_list_coloring(&g, &lists, &colors), Ok(()));
     }
 
@@ -609,8 +623,15 @@ mod tests {
         let mut net = Network::new(&g, Bandwidth::Local);
         let init = ProperColoring::by_id(&g);
         let cfg = cfg_for(19, space, 20);
-        let (colors, _) =
-            solve_degree_plus_one(&mut net, space, &lists, &init, &cfg, &Theorem11Solver).unwrap();
+        let (colors, _) = solve_degree_plus_one(
+            &mut net,
+            space,
+            &lists,
+            &init,
+            &cfg,
+            &Theorem11Solver::default(),
+        )
+        .unwrap();
         assert_eq!(validate_proper_list_coloring(&g, &lists, &colors), Ok(()));
     }
 
@@ -635,9 +656,15 @@ mod tests {
         let mut net = Network::new(&g, Bandwidth::Local);
         let init = ProperColoring::by_id(&g);
         let cfg = cfg_for(9, space, 90);
-        let (colors, orientation, _) =
-            solve_list_arbdefective(&mut net, space, &lists, &init, &cfg, &Theorem11Solver)
-                .unwrap();
+        let (colors, orientation, _) = solve_list_arbdefective(
+            &mut net,
+            space,
+            &lists,
+            &init,
+            &cfg,
+            &Theorem11Solver::default(),
+        )
+        .unwrap();
         assert_eq!(
             validate_arbdefective(&g, &lists, &colors, &orientation),
             Ok(())
@@ -651,8 +678,15 @@ mod tests {
         let mut net = Network::new(&g, Bandwidth::Local);
         let init = ProperColoring::by_id(&g);
         let cfg = cfg_for(5, 5, 6);
-        let err = solve_list_arbdefective(&mut net, 5, &lists, &init, &cfg, &Theorem11Solver)
-            .unwrap_err();
+        let err = solve_list_arbdefective(
+            &mut net,
+            5,
+            &lists,
+            &init,
+            &cfg,
+            &Theorem11Solver::default(),
+        )
+        .unwrap_err();
         assert!(matches!(err, CoreError::Precondition { .. }));
     }
 
@@ -668,9 +702,15 @@ mod tests {
                 substrate,
                 ..cfg_for(6, space, 80)
             };
-            let (colors, _) =
-                solve_degree_plus_one(&mut net, space, &lists, &init, &cfg, &Theorem11Solver)
-                    .unwrap();
+            let (colors, _) = solve_degree_plus_one(
+                &mut net,
+                space,
+                &lists,
+                &init,
+                &cfg,
+                &Theorem11Solver::default(),
+            )
+            .unwrap();
             assert_eq!(validate_proper_list_coloring(&g, &lists, &colors), Ok(()));
         }
     }

@@ -15,42 +15,38 @@
 //! at every level.
 
 use crate::ctx::{span as spans, CoreError, OldcCtx};
-use crate::kernels::{KernelConfig, KernelMode, KernelStats};
-use crate::oldc::{solve_oldc, solve_oldc_cfg, solve_oldc_in};
+use crate::kernels::{KernelConfig, KernelStats};
+use crate::oldc::solve_oldc_cfg;
 use crate::problem::{Color, DefectList};
 use ldc_sim::Network;
 
 /// An abstract OLDC solver, the `𝒜` of Theorem 1.2.
 pub trait OldcSolver: Sync {
     /// Solve the instance on the context's active/group scope; returns one
-    /// color per node (`None` for inactive nodes).
+    /// color per node (`None` for inactive nodes) and folds the solve's
+    /// kernel cache statistics into `kernels` (solvers without a
+    /// [`crate::kernels::TypeCache`] underneath add nothing).
     fn solve(
         &self,
         net: &mut Network<'_>,
         ctx: &OldcCtx<'_, '_>,
         lists: &[DefectList],
-    ) -> Result<Vec<Option<Color>>, CoreError>;
-
-    /// [`OldcSolver::solve`], additionally folding the solve's kernel
-    /// cache statistics into `kernels`. The default delegates to `solve`
-    /// and reports nothing — solvers with a [`crate::kernels::TypeCache`]
-    /// underneath override it so hit rates survive past the call (they
-    /// feed per-solve telemetry and the fleet-wide roll-up).
-    fn solve_stats(
-        &self,
-        net: &mut Network<'_>,
-        ctx: &OldcCtx<'_, '_>,
-        lists: &[DefectList],
         kernels: &mut KernelStats,
-    ) -> Result<Vec<Option<Color>>, CoreError> {
-        let _ = kernels;
-        self.solve(net, ctx, lists)
-    }
+    ) -> Result<Vec<Option<Color>>, CoreError>;
 }
 
-/// Theorem 1.1's algorithm as a solver (the `𝒜` used by Theorem 1.4).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Theorem11Solver;
+/// Theorem 1.1's algorithm as a solver (the `𝒜` used by Theorem 1.4),
+/// run under one [`KernelConfig`]: kernel mode, worker threads for the
+/// batched solver phases, optional [`crate::kernels::SharedTypeCache`].
+/// Colors, rounds, and bits are byte-identical for every configuration;
+/// only wall-clock (threads), recomputation (shared cache), and the
+/// cache counters (reference mode memoizes nothing) change. `Default` is
+/// the fast, sequential, private-cache solver.
+#[derive(Debug, Clone, Default)]
+pub struct Theorem11Solver {
+    /// How the solve runs its kernels.
+    pub kernels: KernelConfig,
+}
 
 impl OldcSolver for Theorem11Solver {
     fn solve(
@@ -58,80 +54,9 @@ impl OldcSolver for Theorem11Solver {
         net: &mut Network<'_>,
         ctx: &OldcCtx<'_, '_>,
         lists: &[DefectList],
-    ) -> Result<Vec<Option<Color>>, CoreError> {
-        Ok(solve_oldc(net, ctx, lists)?.colors)
-    }
-
-    fn solve_stats(
-        &self,
-        net: &mut Network<'_>,
-        ctx: &OldcCtx<'_, '_>,
-        lists: &[DefectList],
         kernels: &mut KernelStats,
     ) -> Result<Vec<Option<Color>>, CoreError> {
-        let out = solve_oldc(net, ctx, lists)?;
-        kernels.absorb(&out.stats.kernels);
-        Ok(out.colors)
-    }
-}
-
-/// [`Theorem11Solver`] routed through the naive reference kernels
-/// ([`KernelMode::Reference`]): no packed sets, no type cache. Outputs are
-/// byte-identical to [`Theorem11Solver`] — the differential full-solve
-/// tests drive both through the same drivers and assert exact equality.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ReferenceKernelSolver;
-
-impl OldcSolver for ReferenceKernelSolver {
-    fn solve(
-        &self,
-        net: &mut Network<'_>,
-        ctx: &OldcCtx<'_, '_>,
-        lists: &[DefectList],
-    ) -> Result<Vec<Option<Color>>, CoreError> {
-        Ok(solve_oldc_in(net, ctx, lists, KernelMode::Reference)?.colors)
-    }
-
-    fn solve_stats(
-        &self,
-        net: &mut Network<'_>,
-        ctx: &OldcCtx<'_, '_>,
-        lists: &[DefectList],
-        kernels: &mut KernelStats,
-    ) -> Result<Vec<Option<Color>>, CoreError> {
-        let out = solve_oldc_in(net, ctx, lists, KernelMode::Reference)?;
-        kernels.absorb(&out.stats.kernels);
-        Ok(out.colors)
-    }
-}
-
-/// [`Theorem11Solver`] carrying a full [`KernelConfig`] — kernel mode,
-/// worker threads for the batched solver phases, optional
-/// [`crate::kernels::SharedTypeCache`]. Outputs and the call/miss kernel
-/// counters are byte-identical to [`Theorem11Solver`] for every
-/// configuration; only wall-clock (threads) and recomputation (shared
-/// cache) change.
-#[derive(Debug, Clone, Default)]
-pub struct ConfiguredSolver(pub KernelConfig);
-
-impl OldcSolver for ConfiguredSolver {
-    fn solve(
-        &self,
-        net: &mut Network<'_>,
-        ctx: &OldcCtx<'_, '_>,
-        lists: &[DefectList],
-    ) -> Result<Vec<Option<Color>>, CoreError> {
-        Ok(solve_oldc_cfg(net, ctx, lists, &self.0)?.colors)
-    }
-
-    fn solve_stats(
-        &self,
-        net: &mut Network<'_>,
-        ctx: &OldcCtx<'_, '_>,
-        lists: &[DefectList],
-        kernels: &mut KernelStats,
-    ) -> Result<Vec<Option<Color>>, CoreError> {
-        let out = solve_oldc_cfg(net, ctx, lists, &self.0)?;
+        let out = solve_oldc_cfg(net, ctx, lists, &self.kernels)?;
         kernels.absorb(&out.stats.kernels);
         Ok(out.colors)
     }
@@ -155,22 +80,10 @@ pub struct ReductionConfig {
 /// final `≤ p`-color instances with `inner` as well.
 ///
 /// All blocks proceed *in parallel* (they are independent after group
-/// refinement), so the round complexity is `O(T(p)·⌈log_p |𝒞|⌉)`.
+/// refinement), so the round complexity is `O(T(p)·⌈log_p |𝒞|⌉)`. Every
+/// inner solve's kernel cache statistics — auxiliary block choices and
+/// the base solve alike — fold into `kernels`.
 pub fn reduce_color_space<S: OldcSolver>(
-    net: &mut Network<'_>,
-    ctx: &OldcCtx<'_, '_>,
-    lists: &[DefectList],
-    cfg: ReductionConfig,
-    inner: &S,
-) -> Result<Vec<Option<Color>>, CoreError> {
-    let mut scratch = KernelStats::default();
-    reduce_color_space_stats(net, ctx, lists, cfg, inner, &mut scratch)
-}
-
-/// [`reduce_color_space`] that also folds every inner solve's kernel cache
-/// statistics into `kernels` (auxiliary block-choice solves and the base
-/// solve alike).
-pub fn reduce_color_space_stats<S: OldcSolver>(
     net: &mut Network<'_>,
     ctx: &OldcCtx<'_, '_>,
     lists: &[DefectList],
@@ -192,7 +105,7 @@ pub fn reduce_color_space_stats<S: OldcSolver>(
         }
     }
     if levels <= 1 {
-        return inner.solve_stats(net, ctx, lists, kernels);
+        return inner.solve(net, ctx, lists, kernels);
     }
     let tracer = net.tracer().clone();
     let _thm12 = tracer.span(spans::THM12);
@@ -248,7 +161,7 @@ pub fn reduce_color_space_stats<S: OldcSolver>(
             ..*ctx
         };
         tracer.add(spans::CTR_OLDC_CALLS, 1);
-        let picks = inner.solve_stats(net, &aux_ctx, &aux_lists, kernels)?;
+        let picks = inner.solve(net, &aux_ctx, &aux_lists, kernels)?;
 
         // Refine: shrink lists/spans, derive new groups.
         for v in 0..n {
@@ -295,7 +208,7 @@ pub fn reduce_color_space_stats<S: OldcSolver>(
     let base = {
         let _base = tracer.span(spans::BASE_SOLVE);
         tracer.add(spans::CTR_OLDC_CALLS, 1);
-        inner.solve_stats(net, &base_ctx, &translated, kernels)?
+        inner.solve(net, &base_ctx, &translated, kernels)?
     };
     Ok((0..n).map(|v| base[v].map(|c| c + offset[v])).collect())
 }
@@ -332,7 +245,7 @@ pub fn solve_with_corollary_41<S: OldcSolver>(
         nu,
         kappa_p: kappa_of_p(p),
     };
-    reduce_color_space(net, ctx, lists, cfg, inner)
+    reduce_color_space(net, ctx, lists, cfg, inner, &mut KernelStats::default())
 }
 
 /// Corollary 4.2's block-size choice for message compression: the largest
@@ -400,7 +313,15 @@ mod tests {
             kappa_p: kappa,
         };
         let mut net = Network::new(&g, Bandwidth::Local);
-        let colors = reduce_color_space(&mut net, &ctx, &lists, cfg, &Theorem11Solver).unwrap();
+        let colors = reduce_color_space(
+            &mut net,
+            &ctx,
+            &lists,
+            cfg,
+            &Theorem11Solver::default(),
+            &mut KernelStats::default(),
+        )
+        .unwrap();
         let colors: Vec<u64> = colors.iter().map(|c| c.unwrap()).collect();
         assert_eq!(validate_oldc(&view, &lists, &colors), Ok(()));
     }
@@ -444,8 +365,15 @@ mod tests {
             nu: 1.0,
             kappa_p: kappa,
         };
-        let reduced =
-            reduce_color_space(&mut net_reduced, &ctx, &lists, cfg, &Theorem11Solver).unwrap();
+        let reduced = reduce_color_space(
+            &mut net_reduced,
+            &ctx,
+            &lists,
+            cfg,
+            &Theorem11Solver::default(),
+            &mut KernelStats::default(),
+        )
+        .unwrap();
         let reduced_colors: Vec<u64> = reduced.iter().map(|c| c.unwrap()).collect();
         assert_eq!(validate_oldc(&view, &lists, &reduced_colors), Ok(()));
 
@@ -500,7 +428,7 @@ mod tests {
             4,
             1.0,
             |p| crate::params::practical_kappa(profile, 4, p, 60),
-            &Theorem11Solver,
+            &Theorem11Solver::default(),
         )
         .unwrap();
         let colors: Vec<u64> = colors.iter().map(|c| c.unwrap()).collect();
@@ -544,7 +472,15 @@ mod tests {
             kappa_p: 10.0,
         };
         let mut net = Network::new(&g, Bandwidth::Local);
-        let colors = reduce_color_space(&mut net, &ctx, &lists, cfg, &Theorem11Solver).unwrap();
+        let colors = reduce_color_space(
+            &mut net,
+            &ctx,
+            &lists,
+            cfg,
+            &Theorem11Solver::default(),
+            &mut KernelStats::default(),
+        )
+        .unwrap();
         let colors: Vec<u64> = colors.iter().map(|c| c.unwrap()).collect();
         assert_eq!(validate_oldc(&view, &lists, &colors), Ok(()));
     }

@@ -21,9 +21,7 @@
 
 use crate::api::{FaultStats, SolveOptions};
 use crate::arbdefective::{solve_degree_plus_one, ArbConfig, ArbReport, Substrate};
-use crate::colorspace::{
-    reduce_color_space, reduce_color_space_stats, OldcSolver, ReductionConfig, Theorem11Solver,
-};
+use crate::colorspace::{reduce_color_space, OldcSolver, ReductionConfig, Theorem11Solver};
 use crate::ctx::{span, CoreError, OldcCtx};
 use crate::kernels::KernelStats;
 use crate::params::{practical_kappa, ParamProfile};
@@ -81,7 +79,8 @@ impl CongestReport {
 /// define *which computation runs* (CONGEST budget, constant profile,
 /// selection seed, branch/substrate choice) and therefore pins the
 /// checked-in experiment numbers; `SolveOptions` carries only the
-/// *execution environment* (tracer, fault plan + retries, exec mode).
+/// *execution environment* (tracer, fault plan + retries, exec mode,
+/// kernel configuration).
 /// This entry point ignores `SolveOptions::bandwidth` / `profile` /
 /// `seed` — those live here.
 #[derive(Debug, Clone, Copy)]
@@ -112,30 +111,19 @@ impl Default for CongestConfig {
 
 /// Theorem 1.1 behind Corollary 4.2's message compression: an
 /// [`OldcSolver`] whose messages are sized for `p`-color blocks.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct ReducedTheorem11 {
     /// Block size per reduction level.
     pub p: u64,
     /// `κ(p)` used to apportion auxiliary defects.
     pub kappa_p: f64,
+    /// The Theorem 1.1 solver run at every level (carries the caller's
+    /// kernel configuration).
+    pub inner: Theorem11Solver,
 }
 
 impl OldcSolver for ReducedTheorem11 {
     fn solve(
-        &self,
-        net: &mut Network<'_>,
-        ctx: &OldcCtx<'_, '_>,
-        lists: &[DefectList],
-    ) -> Result<Vec<Option<Color>>, CoreError> {
-        let cfg = ReductionConfig {
-            p: self.p,
-            nu: 1.0,
-            kappa_p: self.kappa_p,
-        };
-        reduce_color_space(net, ctx, lists, cfg, &Theorem11Solver)
-    }
-
-    fn solve_stats(
         &self,
         net: &mut Network<'_>,
         ctx: &OldcCtx<'_, '_>,
@@ -147,7 +135,7 @@ impl OldcSolver for ReducedTheorem11 {
             nu: 1.0,
             kappa_p: self.kappa_p,
         };
-        reduce_color_space_stats(net, ctx, lists, cfg, &Theorem11Solver, kernels)
+        reduce_color_space(net, ctx, lists, cfg, &self.inner, kernels)
     }
 }
 
@@ -160,9 +148,10 @@ impl OldcSolver for ReducedTheorem11 {
 /// the span tree accounts for *all* rounds of the pipeline), its
 /// [`crate::api::FaultEnv`] — if any — attaches to the *main* network
 /// only (the fault model targets the long-lived communication graph, not
-/// the solver's internal scratch instances), and its [`ldc_sim::ExecMode`]
-/// override applies to the main network. See [`CongestConfig`] for which
-/// knobs live where.
+/// the solver's internal scratch instances), its [`ldc_sim::ExecMode`]
+/// override applies to the main network, and its kernel configuration
+/// runs every Theorem 1.1 solve of the pipeline. See [`CongestConfig`]
+/// for which knobs live where.
 ///
 /// ```
 /// use ldc_core::congest::{congest_degree_plus_one, CongestConfig};
@@ -250,7 +239,13 @@ pub fn congest_degree_plus_one(
                 levels += 1;
             }
             let kappa_eff = kappa_p.powi(levels.max(1) as i32);
-            let solver = ReducedTheorem11 { p, kappa_p };
+            let solver = ReducedTheorem11 {
+                p,
+                kappa_p,
+                inner: Theorem11Solver {
+                    kernels: opts.kernels.clone(),
+                },
+            };
             let arb_cfg = ArbConfig {
                 nu: 1.0,
                 kappa: kappa_eff,

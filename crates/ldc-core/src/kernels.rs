@@ -28,23 +28,27 @@
 //!   cache holds every `Arc` it ever returned) and both the packed-set
 //!   table and the verdict table key on it.
 //!
-//! * Batched entry points ([`TypeCache::select_batch`],
+//! * One batched API ([`TypeCache::select_batch`],
 //!   [`TypeCache::conflict_batch`], [`TypeCache::best_color_batch`]) that
-//!   fan the *pure* miss computations out over the `ldc_sim::pool`
-//!   workers and publish results in request order — byte-identical to
-//!   the equivalent sequence of single calls at every thread count.
+//!   fans the *pure* miss computations out over the `ldc_sim::pool`
+//!   workers and publishes results in request order — byte-identical to
+//!   issuing the requests one at a time, at every thread count — plus
+//!   [`TypeCache::prune`], Theorem 1.1's per-node Phase I pruning.
 //! * [`SharedTypeCache`] — an optional fleet-wide layer behind a sharded
 //!   lock map: selections and conflict verdicts interned by *content*
 //!   keys (strategy seed, list/set bytes, thresholds), so same-shaped
 //!   jobs in a batch warm each other. A shared hit never changes private
 //!   counter streams — it only skips recomputation.
 //!
-//! Every kernel has a naive counterpart in [`crate::conflict`] /
-//! [`crate::cover`]; `KernelMode::Reference` routes through those
-//! verbatim, and the seeded equivalence suite asserts byte-identical
-//! solver outputs between the two modes (`tests/kernels.rs`).
+//! The solvers choose a [`KernelConfig`] once and never look at its
+//! [`KernelMode`]: only [`TypeCache`] does. `KernelMode::Reference` routes
+//! every kernel through its naive counterpart — [`crate::conflict`] /
+//! [`crate::cover`], plus this module's `reference_prune` and
+//! `reference_best_color` loops — with no memoization, and the seeded
+//! equivalence suite asserts byte-identical solver outputs between the
+//! two modes (`tests/kernels.rs`).
 
-use crate::conflict::tau_g_conflict;
+use crate::conflict::{mu_g, tau_g_conflict};
 use crate::cover::{list_fingerprint, SeededSubset};
 use crate::problem::Color;
 use ldc_sim::pool::{pool_execute, DisjointChunks, MAX_CHUNKS};
@@ -583,29 +587,18 @@ pub struct TypeCache {
     packed: Vec<PackedSet>,
     arcs: Vec<Arc<[Color]>>,
     verdicts: HashMap<(u32, u32), bool>,
-    /// Scratch for `select_into` (reused across every selection).
-    scratch: Vec<Color>,
-    /// Per-node scratch of the grouped frequency loops: packed ids of the
-    /// undecided ports (sorted, then run-length grouped).
+    /// Per-node scratch of [`Self::prune`]: packed ids of the ports
+    /// (sorted), then the same ids run-length grouped.
     group_scratch: Vec<u32>,
-    /// Per-node scratch: sorted colors of decided relevant out-neighbors.
-    decided_scratch: Vec<Color>,
-    /// Per-node scratch: one running frequency per candidate color.
-    freq_scratch: Vec<u64>,
+    groups: Vec<(u32, u64)>,
     /// Counters (see [`KernelStats`]).
     pub stats: KernelStats,
 }
 
 impl TypeCache {
-    /// A cache for one solve under `(strategy, τ, g)` with the default
-    /// configuration for `mode` (sequential, private, default capacity).
-    pub fn new(strategy: SeededSubset, tau: u64, g: u64, mode: KernelMode) -> Self {
-        Self::with_config(strategy, tau, g, &KernelConfig::from(mode))
-    }
-
-    /// A cache for one solve under `(strategy, τ, g)` with an explicit
-    /// [`KernelConfig`] (threads, list capacity, shared cache).
-    pub fn with_config(strategy: SeededSubset, tau: u64, g: u64, cfg: &KernelConfig) -> Self {
+    /// A cache for one solve under `(strategy, τ, g)`, run as `cfg` says
+    /// (mode, threads, list capacity, shared cache).
+    pub fn new(strategy: SeededSubset, tau: u64, g: u64, cfg: &KernelConfig) -> Self {
         TypeCache {
             mode: cfg.mode,
             strategy,
@@ -622,103 +615,10 @@ impl TypeCache {
             packed: Vec::new(),
             arcs: Vec::new(),
             verdicts: HashMap::new(),
-            scratch: Vec::new(),
             group_scratch: Vec::new(),
-            decided_scratch: Vec::new(),
-            freq_scratch: Vec::new(),
+            groups: Vec::new(),
             stats: KernelStats::default(),
         }
-    }
-
-    /// The mode this cache runs in.
-    pub fn mode(&self) -> KernelMode {
-        self.mode
-    }
-
-    /// Candidate-set selection, memoized per `(type, k, attempt)`.
-    ///
-    /// Byte-identical to `Arc::from(strategy.select(...))` in both modes:
-    /// `SeededSubset::select` is a pure function of exactly this key (plus
-    /// the shared seed), so equal keys select equal sets.
-    pub fn select(
-        &mut self,
-        init_color: u64,
-        list: &[Color],
-        k: usize,
-        attempt: u32,
-    ) -> Arc<[Color]> {
-        self.stats.select_calls += 1;
-        if self.mode == KernelMode::Reference {
-            self.stats.select_misses += 1;
-            self.strategy
-                .select_into(init_color, list, k, attempt, &mut self.scratch);
-            return Arc::from(&self.scratch[..]);
-        }
-        let list_id = self.intern_list(list);
-        let key: SelectKey = (init_color, list_id, k as u64, attempt);
-        if let Some(set) = self.select_memo.get(&key) {
-            return set.clone();
-        }
-        self.stats.select_misses += 1;
-        if let Some(shared) = self.shared.clone() {
-            let skey: SharedSelectKey = (
-                self.strategy.seed,
-                init_color,
-                k as u64,
-                attempt,
-                self.list_store[list_id as usize].clone(),
-            );
-            if let Some(set) = shared.select_get(&skey) {
-                self.stats.shared_hits += 1;
-                self.select_memo.insert(key, set.clone());
-                return set;
-            }
-            self.stats.shared_misses += 1;
-            self.strategy
-                .select_into(init_color, list, k, attempt, &mut self.scratch);
-            let set: Arc<[Color]> = Arc::from(&self.scratch[..]);
-            self.select_memo.insert(key, set.clone());
-            shared.select_put(skey, set.clone());
-            return set;
-        }
-        self.strategy
-            .select_into(init_color, list, k, attempt, &mut self.scratch);
-        let set: Arc<[Color]> = Arc::from(&self.scratch[..]);
-        self.select_memo.insert(key, set.clone());
-        set
-    }
-
-    /// Pairwise `τ&g`-conflict verdict (Definition 3.2), cached per
-    /// unordered set pair (`conflict_weight` is symmetric).
-    pub fn conflict(&mut self, a: &Arc<[Color]>, b: &Arc<[Color]>) -> bool {
-        self.stats.conflict_calls += 1;
-        if self.mode == KernelMode::Reference {
-            self.stats.conflict_misses += 1;
-            return tau_g_conflict(a, b, self.tau, self.g);
-        }
-        let ia = self.packed_id(a);
-        let ib = self.packed_id(b);
-        let key = (ia.min(ib), ia.max(ib));
-        if let Some(&v) = self.verdicts.get(&key) {
-            return v;
-        }
-        self.stats.conflict_misses += 1;
-        if let Some(shared) = self.shared.clone() {
-            let skey = SharedTypeCache::verdict_key(self.tau, self.g, a, b);
-            if let Some(v) = shared.verdict_get(&skey) {
-                self.stats.shared_hits += 1;
-                self.verdicts.insert(key, v);
-                return v;
-            }
-            self.stats.shared_misses += 1;
-            let verdict = self.compute_verdict(ia, ib);
-            self.verdicts.insert(key, verdict);
-            shared.verdict_put(skey, verdict);
-            return verdict;
-        }
-        let verdict = self.compute_verdict(ia, ib);
-        self.verdicts.insert(key, verdict);
-        verdict
     }
 
     /// The raw verdict of two interned sets: adaptive popcount when `g`
@@ -741,7 +641,7 @@ impl TypeCache {
     /// Intern a candidate set by address and return its packed id
     /// (`Fast` mode only). The id indexes a dense table, so the hot
     /// per-color loops pay array indexing instead of hashing.
-    pub fn packed_id(&mut self, set: &Arc<[Color]>) -> u32 {
+    fn packed_id(&mut self, set: &Arc<[Color]>) -> u32 {
         let key = Arc::as_ptr(set) as *const Color as usize;
         if let Some(&id) = self.packed_ids.get(&key) {
             return id;
@@ -754,65 +654,62 @@ impl TypeCache {
         id
     }
 
-    /// O(1) membership in an interned set.
-    pub fn packed_contains(&self, id: u32, x: Color) -> bool {
-        self.packed[id as usize].contains(x)
-    }
-
-    /// Packed `μ_g(x, ·)` of an interned set (uses the cache's `g`).
-    pub fn packed_mu(&self, id: u32, x: Color) -> u64 {
-        self.packed[id as usize].count_range(x.saturating_sub(self.g), x.saturating_add(self.g))
-    }
-
-    /// The grouped frequency pass shared by the decision loops: given the
-    /// relevant ports of one node — classified as either a decided color
-    /// or an undecided neighbor's candidate set — compute, for each
-    /// candidate color `x` of `cand`, the frequency
-    /// `f(x) = #{decided ports: |c − x| ≤ g} + Σ_{undecided sets} μ_g(x, C)`
-    /// and pick the minimizing `(f, x)` (ties toward the smaller color) —
-    /// exactly the scan the naive loops perform, regrouped twice: ports
-    /// sharing a candidate set contribute `multiplicity · μ_g` in one
-    /// probe, and the set loop is outermost so each packed set streams
-    /// through one frequency array instead of being re-probed per color
-    /// (`f` is a commutative `u64` sum, so the regrouping is byte-exact).
+    /// Theorem 1.1's Phase I pruning of one node's list: drop every color
+    /// that more than `budget` of `sets` contain (`sets` yields one
+    /// candidate set per lower-class out-port).
     ///
-    /// `ports` yields `(decided_color, candidate_set)` per relevant port.
-    pub fn best_color<'p>(
+    /// `Fast` groups the ports by distinct candidate set, so ports sharing
+    /// a set add their multiplicity per hit and membership is one packed
+    /// probe; the count compared to `budget` is the same sum
+    /// `reference_prune` accumulates port by port.
+    pub fn prune<'p>(
         &mut self,
-        cand: &[Color],
-        ports: impl Iterator<Item = (Option<Color>, Option<&'p Arc<[Color]>>)>,
-    ) -> Option<(u64, Color)> {
+        list: &mut Vec<Color>,
+        budget: u64,
+        sets: impl Iterator<Item = &'p Arc<[Color]>>,
+    ) {
+        if self.mode == KernelMode::Reference {
+            reference_prune(list, budget, &sets.collect::<Vec<_>>());
+            return;
+        }
         let mut ids = std::mem::take(&mut self.group_scratch);
-        let mut decided = std::mem::take(&mut self.decided_scratch);
-        let mut freq = std::mem::take(&mut self.freq_scratch);
         ids.clear();
-        decided.clear();
-        for (dec, set) in ports {
-            if let Some(c) = dec {
-                decided.push(c);
-            } else if let Some(cu) = set {
-                ids.push(self.packed_id(cu));
+        ids.extend(sets.map(|cu| self.packed_id(cu)));
+        ids.sort_unstable();
+        self.groups.clear();
+        for &id in &ids {
+            match self.groups.last_mut() {
+                Some((gid, mult)) if *gid == id => *mult += 1,
+                _ => self.groups.push((id, 1)),
             }
         }
-        let best = Self::best_color_core(
-            &self.packed,
-            self.g,
-            cand,
-            &mut ids,
-            &mut decided,
-            &mut freq,
-        );
         self.group_scratch = ids;
-        self.decided_scratch = decided;
-        self.freq_scratch = freq;
-        best
+        let (packed, groups) = (&self.packed, &self.groups);
+        list.retain(|&x| {
+            let mut cnt = 0u64;
+            for &(id, mult) in groups {
+                if packed[id as usize].contains(x) {
+                    cnt += mult;
+                    if cnt > budget {
+                        return false;
+                    }
+                }
+            }
+            true
+        });
     }
 
-    /// The frequency pass of [`Self::best_color`], over already-gathered
-    /// inputs: `ids` / `decided` are the (unsorted) packed ids and decided
-    /// colors of the node's relevant ports; `freq` is scratch. A pure
-    /// function of its arguments — the batch pass calls it from worker
-    /// threads with per-chunk scratch.
+    /// The `Fast` frequency pass of [`Self::best_color_batch`], over one
+    /// job's gathered inputs: `ids` / `decided` are the (unsorted) packed
+    /// ids and decided colors of the node's relevant ports; `freq` is
+    /// scratch. It computes, for each candidate color `x`, the frequency
+    /// `f(x) = #{decided ports: |c − x| ≤ g} + Σ_{undecided sets} μ_g(x, C)`
+    /// and picks the minimizing `(f, x)` (ties toward the smaller color) —
+    /// exactly the scan of `reference_best_color`, regrouped twice:
+    /// ports sharing a candidate set contribute `multiplicity · μ_g` in
+    /// one probe, and the set loop is outermost so each packed set streams
+    /// through one frequency array instead of being re-probed per color
+    /// (`f` is a commutative `u64` sum, so the regrouping is byte-exact).
     fn best_color_core(
         packed: &[PackedSet],
         g: u64,
@@ -900,18 +797,56 @@ impl TypeCache {
         }
     }
 
-    /// Batched [`Self::select`]: results, stats, and memo state are
-    /// byte-identical to calling `select` once per request in order, but
-    /// the selections neither memo layer holds are computed out-of-order
-    /// across the worker pool — `SeededSubset::select_into` is a pure
-    /// function of the request (plus the shared seed), so computing
-    /// misses in parallel and publishing them in queue order is
-    /// indistinguishable from the sequential loop. Two requests with the
-    /// same key cost one computation and one miss, exactly as the second
-    /// sequential call would have hit the memo entry of the first.
+    /// `f` over `items`, in item order: inline, or fanned out over the pool
+    /// when the configured threads and the `work` volume (total color
+    /// slots) justify it. Each chunk gets its own `scratch()` and writes a
+    /// disjoint output range, so for a pure `f` no thread count or chunk
+    /// completion order can change a result.
+    fn par_map<T: Sync, S, R: Send>(
+        &self,
+        items: &[T],
+        work: u64,
+        scratch: impl Fn() -> S + Sync,
+        f: impl Fn(&mut S, &T) -> R + Sync,
+    ) -> Vec<R> {
+        let chunks = self.par_chunks(items.len(), work);
+        let bounds = chunk_bounds(items.len(), chunks);
+        let mut out: Vec<Option<R>> = items.iter().map(|_| None).collect();
+        let slots = DisjointChunks::new(&mut out, &bounds);
+        pool_execute(self.threads, chunks, |c| {
+            let mut s = scratch();
+            for (slot, item) in slots.take(c).iter_mut().zip(&items[bounds[c]..]) {
+                *slot = Some(f(&mut s, item));
+            }
+        });
+        out.into_iter().map(|r| r.expect("chunk filled")).collect()
+    }
+
+    /// Selections computed from scratch (no memo), in request order.
+    fn compute_selections(&self, reqs: &[SelectReq<'_>]) -> Vec<Arc<[Color]>> {
+        let work = reqs.iter().map(|r| r.list.len() as u64).sum();
+        let strategy = self.strategy;
+        self.par_map(reqs, work, Vec::new, |scratch, r| {
+            strategy.select_into(r.init_color, r.list, r.k, r.attempt, scratch);
+            Arc::from(&scratch[..])
+        })
+    }
+
+    /// Candidate-set selection, memoized per `(type, k, attempt)`: every
+    /// result is byte-identical to `SeededSubset::select` on the request
+    /// (a pure function of exactly this key plus the shared seed).
+    ///
+    /// Results, stats, and memo state equal those of issuing the requests
+    /// one at a time in order, but the selections neither memo layer
+    /// holds are computed out-of-order across the worker pool and
+    /// published in queue order. Two requests with the same key cost one
+    /// computation and one miss, exactly as the second one-at-a-time
+    /// request would have hit the memo entry of the first.
     pub fn select_batch(&mut self, reqs: &[SelectReq<'_>]) -> Vec<Arc<[Color]>> {
         if self.mode == KernelMode::Reference {
-            return self.select_batch_reference(reqs);
+            self.stats.select_calls += reqs.len() as u64;
+            self.stats.select_misses += reqs.len() as u64;
+            return self.compute_selections(reqs);
         }
         enum Slot {
             Done(Arc<[Color]>),
@@ -944,14 +879,13 @@ impl TypeCache {
                 continue;
             }
             self.stats.select_misses += 1;
-            let list = self.list_store[list_id as usize].clone();
             let shared_key = if let Some(shared) = self.shared.clone() {
                 let skey: SharedSelectKey = (
                     self.strategy.seed,
                     r.init_color,
                     r.k as u64,
                     r.attempt,
-                    list.clone(),
+                    self.list_store[list_id as usize].clone(),
                 );
                 if let Some(set) = shared.select_get(&skey) {
                     self.stats.shared_hits += 1;
@@ -969,15 +903,13 @@ impl TypeCache {
             pending.push(PendingSelect {
                 key,
                 epoch,
-                init_color: r.init_color,
-                k: r.k,
-                attempt: r.attempt,
-                list,
+                req: *r,
                 shared_key,
             });
         }
         // Pass 2 (parallel): compute the queued selections.
-        let computed = self.compute_selections(&pending);
+        let queued: Vec<SelectReq<'_>> = pending.iter().map(|p| p.req).collect();
+        let computed = self.compute_selections(&queued);
         // Pass 3 (sequential, queue order): publish. Entries queued
         // before an epoch reset are not re-inserted into the memo — the
         // sequential loop would have inserted and then wiped them.
@@ -998,67 +930,20 @@ impl TypeCache {
             .collect()
     }
 
-    /// Reference-mode batch: every request computes (no memoization), in
-    /// parallel — the computation is pure, the results land in request
-    /// order.
-    fn select_batch_reference(&mut self, reqs: &[SelectReq<'_>]) -> Vec<Arc<[Color]>> {
-        self.stats.select_calls += reqs.len() as u64;
-        self.stats.select_misses += reqs.len() as u64;
-        if reqs.is_empty() {
-            return Vec::new();
-        }
-        let work: u64 = reqs.iter().map(|r| r.list.len() as u64).sum();
-        let chunks = self.par_chunks(reqs.len(), work);
-        let bounds = chunk_bounds(reqs.len(), chunks);
-        let mut out: Vec<Option<Arc<[Color]>>> = vec![None; reqs.len()];
-        let slots = DisjointChunks::new(&mut out, &bounds);
-        let strategy = self.strategy;
-        pool_execute(self.threads, chunks, |c| {
-            let mut scratch: Vec<Color> = Vec::new();
-            let start = bounds[c];
-            for (off, slot) in slots.take(c).iter_mut().enumerate() {
-                let r = &reqs[start + off];
-                strategy.select_into(r.init_color, r.list, r.k, r.attempt, &mut scratch);
-                *slot = Some(Arc::from(&scratch[..]));
-            }
-        });
-        out.into_iter().map(|s| s.expect("chunk filled")).collect()
-    }
-
-    /// Pass 2 of [`Self::select_batch`]: compute the queued selections,
-    /// fanning out over the pool when the volume warrants it. Chunks
-    /// write disjoint result ranges with per-chunk scratch; results land
-    /// in queue order regardless of thread count.
-    fn compute_selections(&self, pending: &[PendingSelect]) -> Vec<Arc<[Color]>> {
-        if pending.is_empty() {
-            return Vec::new();
-        }
-        let work: u64 = pending.iter().map(|p| p.list.len() as u64).sum();
-        let chunks = self.par_chunks(pending.len(), work);
-        let bounds = chunk_bounds(pending.len(), chunks);
-        let mut out: Vec<Option<Arc<[Color]>>> = vec![None; pending.len()];
-        let slots = DisjointChunks::new(&mut out, &bounds);
-        let strategy = self.strategy;
-        pool_execute(self.threads, chunks, |c| {
-            let mut scratch: Vec<Color> = Vec::new();
-            let start = bounds[c];
-            for (off, slot) in slots.take(c).iter_mut().enumerate() {
-                let p = &pending[start + off];
-                strategy.select_into(p.init_color, &p.list, p.k, p.attempt, &mut scratch);
-                *slot = Some(Arc::from(&scratch[..]));
-            }
-        });
-        out.into_iter().map(|s| s.expect("chunk filled")).collect()
-    }
-
-    /// Batched [`Self::conflict`]: verdicts, stats, and memo state are
-    /// byte-identical to calling `conflict` over `pairs` in order; the
-    /// verdicts neither memo layer holds are pure functions of the two
-    /// interned sets and fan out over the pool (the packed tables are
-    /// frozen for the pass — `Self::compute_verdict` takes `&self`).
+    /// Pairwise `τ&g`-conflict verdicts (Definition 3.2), cached per
+    /// unordered set pair (`conflict_weight` is symmetric). Verdicts,
+    /// stats, and memo state equal those of checking `pairs` one at a
+    /// time in order; the verdicts neither memo layer holds are pure
+    /// functions of the two interned sets and fan out over the pool (the
+    /// packed tables are frozen for the pass — `Self::compute_verdict`
+    /// takes `&self`).
     pub fn conflict_batch(&mut self, pairs: &[ListPair]) -> Vec<bool> {
         if self.mode == KernelMode::Reference {
-            return self.conflict_batch_reference(pairs);
+            self.stats.conflict_calls += pairs.len() as u64;
+            self.stats.conflict_misses += pairs.len() as u64;
+            let work = pairs.iter().map(|(a, b)| (a.len() + b.len()) as u64).sum();
+            let (tau, g) = (self.tau, self.g);
+            return self.par_map(pairs, work, || (), |_, (a, b)| tau_g_conflict(a, b, tau, g));
         }
         enum Slot {
             Done(bool),
@@ -1100,26 +985,16 @@ impl TypeCache {
             pending.push(PendingVerdict { key, shared_key });
         }
         // Pass 2 (parallel): compute the missing verdicts.
-        let mut computed: Vec<bool> = vec![false; pending.len()];
-        if !pending.is_empty() {
-            let work: u64 = pending
-                .iter()
-                .map(|p| {
-                    (self.arcs[p.key.0 as usize].len() + self.arcs[p.key.1 as usize].len()) as u64
-                })
-                .sum();
-            let chunks = self.par_chunks(pending.len(), work);
-            let bounds = chunk_bounds(pending.len(), chunks);
-            let vslots = DisjointChunks::new(&mut computed, &bounds);
-            let this: &TypeCache = self;
-            pool_execute(this.threads, chunks, |c| {
-                let start = bounds[c];
-                for (off, slot) in vslots.take(c).iter_mut().enumerate() {
-                    let (i, j) = pending[start + off].key;
-                    *slot = this.compute_verdict(i, j);
-                }
-            });
-        }
+        let work = pending
+            .iter()
+            .map(|p| (self.arcs[p.key.0 as usize].len() + self.arcs[p.key.1 as usize].len()) as u64)
+            .sum();
+        let computed = self.par_map(
+            &pending,
+            work,
+            || (),
+            |_, p| self.compute_verdict(p.key.0, p.key.1),
+        );
         // Pass 3 (sequential, queue order): publish.
         for (p, &v) in pending.into_iter().zip(computed.iter()) {
             self.verdicts.insert(p.key, v);
@@ -1136,32 +1011,9 @@ impl TypeCache {
             .collect()
     }
 
-    /// Reference-mode batch: every pair computes via the naive kernel, in
-    /// parallel, results in pair order.
-    fn conflict_batch_reference(&mut self, pairs: &[ListPair]) -> Vec<bool> {
-        self.stats.conflict_calls += pairs.len() as u64;
-        self.stats.conflict_misses += pairs.len() as u64;
-        if pairs.is_empty() {
-            return Vec::new();
-        }
-        let work: u64 = pairs.iter().map(|(a, b)| (a.len() + b.len()) as u64).sum();
-        let chunks = self.par_chunks(pairs.len(), work);
-        let bounds = chunk_bounds(pairs.len(), chunks);
-        let mut out: Vec<bool> = vec![false; pairs.len()];
-        let slots = DisjointChunks::new(&mut out, &bounds);
-        let (tau, g) = (self.tau, self.g);
-        pool_execute(self.threads, chunks, |c| {
-            let start = bounds[c];
-            for (off, slot) in slots.take(c).iter_mut().enumerate() {
-                let (a, b) = &pairs[start + off];
-                *slot = tau_g_conflict(a, b, tau, g);
-            }
-        });
-        out
-    }
-
-    /// Append one node's decision job to `batch` (`ports` exactly as in
-    /// [`Self::best_color`]). Jobs must be pushed in node order — the
+    /// Append one node's decision job to `batch`. `ports` yields, per
+    /// relevant port, either the neighbor's decided color or its
+    /// undecided candidate set. Jobs must be pushed in node order — the
     /// packed-id interning this performs is part of the deterministic
     /// stats stream.
     pub fn push_decision<'p>(
@@ -1171,64 +1023,99 @@ impl TypeCache {
         ports: impl Iterator<Item = (Option<Color>, Option<&'p Arc<[Color]>>)>,
     ) {
         let d0 = batch.decided.len() as u32;
-        let i0 = batch.ids.len() as u32;
+        let s0 = batch.set_count() as u32;
         for (dec, set) in ports {
-            if let Some(c) = dec {
-                batch.decided.push(c);
-            } else if let Some(cu) = set {
-                batch.ids.push(self.packed_id(cu));
+            match (dec, set) {
+                (Some(c), _) => batch.decided.push(c),
+                (None, Some(cu)) if self.mode == KernelMode::Reference => {
+                    batch.sets.push(cu.clone())
+                }
+                (None, Some(cu)) => batch.ids.push(self.packed_id(cu)),
+                (None, None) => {}
             }
         }
         batch.jobs.push(DecisionJob {
             cand: cand.clone(),
             decided: (d0, batch.decided.len() as u32),
-            ids: (i0, batch.ids.len() as u32),
+            sets: (s0, batch.set_count() as u32),
         });
     }
 
-    /// Run every gathered decision job; results land in push order,
-    /// byte-identical to calling [`Self::best_color`] per job in order —
-    /// the frequency pass is a pure function of the gathered inputs, so
-    /// per-chunk scratch and out-of-order chunk execution cannot change
-    /// any verdict.
+    /// Every gathered decision job's best `(frequency, color)` (see
+    /// `reference_best_color`), in push order. The frequency pass is a
+    /// pure function of the gathered inputs, so per-chunk scratch and
+    /// out-of-order chunk execution cannot change any result.
     pub fn best_color_batch(&self, batch: &DecisionBatch) -> Vec<Option<(u64, Color)>> {
-        if batch.jobs.is_empty() {
-            return Vec::new();
-        }
-        let work: u64 = batch
+        let work = batch
             .jobs
             .iter()
-            .map(|j| j.cand.len() as u64 * (1 + u64::from(j.ids.1 - j.ids.0)))
+            .map(|j| j.cand.len() as u64 * (1 + u64::from(j.sets.1 - j.sets.0)))
             .sum();
-        let chunks = self.par_chunks(batch.jobs.len(), work);
-        let bounds = chunk_bounds(batch.jobs.len(), chunks);
-        let mut out: Vec<Option<(u64, Color)>> = vec![None; batch.jobs.len()];
-        let slots = DisjointChunks::new(&mut out, &bounds);
-        let this: &TypeCache = self;
-        pool_execute(this.threads, chunks, |c| {
-            let mut ids: Vec<u32> = Vec::new();
-            let mut decided: Vec<Color> = Vec::new();
-            let mut freq: Vec<u64> = Vec::new();
-            let start = bounds[c];
-            for (off, slot) in slots.take(c).iter_mut().enumerate() {
-                let j = &batch.jobs[start + off];
-                ids.clear();
-                ids.extend_from_slice(&batch.ids[j.ids.0 as usize..j.ids.1 as usize]);
-                decided.clear();
-                decided
-                    .extend_from_slice(&batch.decided[j.decided.0 as usize..j.decided.1 as usize]);
-                *slot = Self::best_color_core(
-                    &this.packed,
-                    this.g,
-                    &j.cand,
-                    &mut ids,
-                    &mut decided,
-                    &mut freq,
-                );
+        let scratch = || (Vec::new(), Vec::new(), Vec::new());
+        self.par_map(&batch.jobs, work, scratch, |(ids, decided, freq), j| {
+            let dec = &batch.decided[j.decided.0 as usize..j.decided.1 as usize];
+            let sets = j.sets.0 as usize..j.sets.1 as usize;
+            match self.mode {
+                KernelMode::Reference => {
+                    reference_best_color(&j.cand, self.g, dec, &batch.sets[sets])
+                }
+                KernelMode::Fast => {
+                    ids.clear();
+                    ids.extend_from_slice(&batch.ids[sets]);
+                    decided.clear();
+                    decided.extend_from_slice(dec);
+                    Self::best_color_core(&self.packed, self.g, &j.cand, ids, decided, freq)
+                }
             }
-        });
-        out
+        })
     }
+}
+
+/// The naive Phase I pruning loop, the oracle of [`TypeCache::prune`]:
+/// per color, a port-by-port binary search that stops once the count
+/// passes `budget`.
+fn reference_prune(list: &mut Vec<Color>, budget: u64, sets: &[&Arc<[Color]>]) {
+    list.retain(|&x| {
+        let mut cnt = 0u64;
+        for cu in sets {
+            if cu.binary_search(&x).is_ok() {
+                cnt += 1;
+                if cnt > budget {
+                    return false;
+                }
+            }
+        }
+        true
+    });
+}
+
+/// The naive frequency scan, the oracle of [`TypeCache::best_color_batch`]:
+/// for each candidate color `x`,
+/// `f(x) = #{decided c: |c − x| ≤ g} + Σ_{sets C} μ_g(x, C)`, minimized
+/// over `(f, x)` with ties toward the smaller color. One routine serves
+/// the §3.2 decisions and Theorem 1.1's Phase II and laggard decisions
+/// (which run with `g = 0`, where `|c − x| ≤ g` is `c = x` and `μ_0` is
+/// membership).
+fn reference_best_color(
+    cand: &[Color],
+    g: u64,
+    decided: &[Color],
+    sets: &[Arc<[Color]>],
+) -> Option<(u64, Color)> {
+    let mut best: Option<(u64, Color)> = None;
+    for &x in cand {
+        let mut f = 0u64;
+        for &c in decided {
+            f += u64::from(c.abs_diff(x) <= g);
+        }
+        for cu in sets {
+            f += mu_g(x, cu, g);
+        }
+        if best.map_or(true, |(bf, bx)| f < bf || (f == bf && x < bx)) {
+            best = Some((f, x));
+        }
+    }
+    best
 }
 
 /// One request of a batched candidate-set selection
@@ -1245,16 +1132,13 @@ pub struct SelectReq<'a> {
     pub attempt: u32,
 }
 
-/// A queued selection of [`TypeCache::select_batch`]: everything the
-/// parallel pass needs, captured by value (the list `Arc` stays valid
-/// even if an epoch reset recycles its id).
-struct PendingSelect {
+/// A queued selection of [`TypeCache::select_batch`]: the request itself
+/// (its list borrows the caller's slice, so it stays valid even if an
+/// epoch reset recycles the list's id) plus what publishing needs.
+struct PendingSelect<'a> {
     key: SelectKey,
     epoch: u64,
-    init_color: u64,
-    k: usize,
-    attempt: u32,
-    list: Arc<[Color]>,
+    req: SelectReq<'a>,
     shared_key: Option<SharedSelectKey>,
 }
 
@@ -1265,19 +1149,22 @@ struct PendingVerdict {
 }
 
 /// Gathered decision jobs for [`TypeCache::best_color_batch`]: per job a
-/// candidate set plus ranges into shared arenas of decided colors and
-/// packed ids of undecided neighbor sets.
+/// candidate set plus ranges into shared arenas of decided colors and of
+/// undecided neighbor sets — packed ids in `Fast` mode, the sets
+/// themselves in `Reference` mode.
 #[derive(Default)]
 pub struct DecisionBatch {
     jobs: Vec<DecisionJob>,
     decided: Vec<Color>,
     ids: Vec<u32>,
+    sets: Vec<Arc<[Color]>>,
 }
 
 struct DecisionJob {
     cand: Arc<[Color]>,
     decided: (u32, u32),
-    ids: (u32, u32),
+    /// Range into `ids` or `sets`, whichever the cache's mode fills.
+    sets: (u32, u32),
 }
 
 impl DecisionBatch {
@@ -1286,21 +1173,18 @@ impl DecisionBatch {
         Self::default()
     }
 
-    /// Jobs gathered so far.
-    pub fn len(&self) -> usize {
-        self.jobs.len()
-    }
-
-    /// Whether any job has been gathered.
-    pub fn is_empty(&self) -> bool {
-        self.jobs.is_empty()
-    }
-
     /// Drop all gathered jobs, keeping the arena allocations.
     pub fn clear(&mut self) {
         self.jobs.clear();
         self.decided.clear();
         self.ids.clear();
+        self.sets.clear();
+    }
+
+    /// Entries in the undecided-set arena (only one mode's arena is ever
+    /// filled).
+    fn set_count(&self) -> usize {
+        self.ids.len() + self.sets.len()
     }
 }
 
@@ -1392,43 +1276,94 @@ mod tests {
         }
     }
 
+    const MODES: [KernelMode; 2] = [KernelMode::Fast, KernelMode::Reference];
+    const THREADS: [usize; 4] = [1, 2, 4, 8];
+
+    fn cfg(mode: KernelMode, threads: usize) -> KernelConfig {
+        KernelConfig::from(mode).with_threads(threads)
+    }
+
+    fn req(init_color: u64, list: &[u64], k: usize, attempt: u32) -> SelectReq<'_> {
+        SelectReq {
+            init_color,
+            list,
+            k,
+            attempt,
+        }
+    }
+
+    /// One selection per batch: the one-at-a-time order every larger
+    /// batch must reproduce.
+    fn select_one(cache: &mut TypeCache, r: SelectReq<'_>) -> Arc<[u64]> {
+        cache.select_batch(&[r]).remove(0)
+    }
+
+    /// One verdict per batch (see [`select_one`]).
+    fn conflict_one(cache: &mut TypeCache, a: &Arc<[u64]>, b: &Arc<[u64]>) -> bool {
+        cache.conflict_batch(&[(a.clone(), b.clone())])[0]
+    }
+
     #[test]
     fn cache_select_is_byte_identical_and_memoized() {
         let strategy = SeededSubset { seed: 99 };
         let list: Vec<u64> = (0..200).map(|i| i * 5).collect();
-        let mut fast = TypeCache::new(strategy, 4, 0, KernelMode::Fast);
-        let mut refc = TypeCache::new(strategy, 4, 0, KernelMode::Reference);
-        let a1 = fast.select(7, &list, 12, 0);
-        let a2 = fast.select(7, &list, 12, 0);
-        let r1 = refc.select(7, &list, 12, 0);
-        assert_eq!(&a1[..], &strategy.select(7, &list, 12, 0)[..]);
-        assert_eq!(a1, r1);
-        assert!(Arc::ptr_eq(&a1, &a2), "second call must hit the memo");
-        assert_eq!(fast.stats.select_calls, 2);
-        assert_eq!(fast.stats.select_misses, 1);
-        let _ = refc.select(7, &list, 12, 0);
-        assert_eq!(refc.stats.select_misses, 2, "reference mode never memoizes");
+        let want = strategy.select(7, &list, 12, 0);
+        for mode in MODES {
+            for threads in THREADS {
+                let tag = format!("{mode:?} t={threads}");
+                let mut cache = TypeCache::new(strategy, 4, 0, &cfg(mode, threads));
+                let a1 = select_one(&mut cache, req(7, &list, 12, 0));
+                let a2 = select_one(&mut cache, req(7, &list, 12, 0));
+                assert_eq!(&a1[..], &want[..], "{tag}");
+                assert_eq!(a1, a2, "{tag}");
+                assert_eq!(cache.stats.select_calls, 2, "{tag}");
+                // An in-batch duplicate costs what a second call costs.
+                let dup = cache.select_batch(&[req(7, &list, 12, 0), req(7, &list, 12, 0)]);
+                assert_eq!(cache.stats.select_calls, 4, "{tag}");
+                if mode == KernelMode::Fast {
+                    assert!(
+                        Arc::ptr_eq(&a1, &a2),
+                        "{tag}: memo hit returns the same Arc"
+                    );
+                    assert!(dup.iter().all(|d| Arc::ptr_eq(d, &a1)), "{tag}");
+                    assert_eq!(cache.stats.select_misses, 1, "{tag}");
+                } else {
+                    assert_eq!(
+                        cache.stats.select_misses, 4,
+                        "{tag}: reference never memoizes"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
     fn cache_conflict_verdicts_match_and_memoize() {
         let strategy = SeededSubset { seed: 5 };
+        let a: Arc<[u64]> = Arc::from(&mk(&[1, 4, 9, 16, 25])[..]);
+        let b: Arc<[u64]> = Arc::from(&mk(&[2, 3, 5, 8, 13, 21])[..]);
         for g in [0u64, 2] {
-            let mut cache = TypeCache::new(strategy, 3, g, KernelMode::Fast);
-            let a: Arc<[u64]> = Arc::from(&mk(&[1, 4, 9, 16, 25])[..]);
-            let b: Arc<[u64]> = Arc::from(&mk(&[2, 3, 5, 8, 13, 21])[..]);
             let expect = tau_g_conflict(&a, &b, 3, g);
-            assert_eq!(cache.conflict(&a, &b), expect);
-            assert_eq!(cache.conflict(&b, &a), expect, "symmetric key");
-            assert_eq!(cache.stats.conflict_calls, 2);
-            assert_eq!(cache.stats.conflict_misses, 1);
+            for mode in MODES {
+                for threads in THREADS {
+                    let tag = format!("g={g} {mode:?} t={threads}");
+                    let mut cache = TypeCache::new(strategy, 3, g, &cfg(mode, threads));
+                    let got =
+                        cache.conflict_batch(&[(a.clone(), b.clone()), (b.clone(), a.clone())]);
+                    assert_eq!(got, vec![expect; 2], "{tag}");
+                    assert_eq!(conflict_one(&mut cache, &b, &a), expect, "{tag}");
+                    assert_eq!(cache.stats.conflict_calls, 3, "{tag}");
+                    let misses = if mode == KernelMode::Fast { 1 } else { 3 };
+                    assert_eq!(cache.stats.conflict_misses, misses, "{tag}: symmetric key");
+                }
+            }
         }
     }
 
     #[test]
     fn list_interning_is_collision_checked() {
         let strategy = SeededSubset { seed: 1 };
-        let mut cache = TypeCache::new(strategy, 2, 0, KernelMode::Fast);
+        let mut cache = TypeCache::new(strategy, 2, 0, &KernelConfig::default());
         let l1: Vec<u64> = (0..50).collect();
         let l2: Vec<u64> = (0..50).map(|i| i + 1).collect();
         let a = cache.intern_list(&l1);
@@ -1441,13 +1376,13 @@ mod tests {
 
     /// A batch of mixed-type requests spanning memo hits, in-batch
     /// duplicates, and misses.
-    fn sample_reqs(lists: &[Vec<u64>]) -> Vec<(u64, usize, usize, u32)> {
+    fn sample_reqs(lists: &[Vec<u64>]) -> Vec<SelectReq<'_>> {
         let mut reqs = Vec::new();
         for round in 0..3u64 {
-            for (li, _list) in lists.iter().enumerate() {
-                reqs.push((round * 7 + li as u64, li, 5 + li % 3, (round % 2) as u32));
+            for (li, list) in lists.iter().enumerate() {
+                let r = req(round * 7 + li as u64, list, 5 + li % 3, (round % 2) as u32);
                 // In-batch duplicate of the same type.
-                reqs.push((round * 7 + li as u64, li, 5 + li % 3, (round % 2) as u32));
+                reqs.extend([r, r]);
             }
         }
         reqs
@@ -1460,25 +1395,16 @@ mod tests {
             .map(|j| (0..120u64).map(|i| i * 3 + j).collect())
             .collect();
         let reqs = sample_reqs(&lists);
-        for mode in [KernelMode::Fast, KernelMode::Reference] {
-            let mut seq = TypeCache::new(strategy, 4, 0, mode);
-            let expected: Vec<Arc<[u64]>> = reqs
-                .iter()
-                .map(|&(ic, li, k, at)| seq.select(ic, &lists[li], k, at))
-                .collect();
-            for threads in [1usize, 2, 4, 8] {
-                let cfg = KernelConfig::from(mode).with_threads(threads);
-                let mut batch = TypeCache::with_config(strategy, 4, 0, &cfg);
-                let batch_reqs: Vec<SelectReq<'_>> = reqs
-                    .iter()
-                    .map(|&(ic, li, k, at)| SelectReq {
-                        init_color: ic,
-                        list: &lists[li],
-                        k,
-                        attempt: at,
-                    })
-                    .collect();
-                let got = batch.select_batch(&batch_reqs);
+        for mode in MODES {
+            let mut seq = TypeCache::new(strategy, 4, 0, &cfg(mode, 1));
+            let expected: Vec<Arc<[u64]>> = reqs.iter().map(|&r| select_one(&mut seq, r)).collect();
+            for (e, r) in expected.iter().zip(&reqs) {
+                let want = strategy.select(r.init_color, r.list, r.k, r.attempt);
+                assert_eq!(&e[..], &want[..], "{mode:?}");
+            }
+            for threads in THREADS {
+                let mut batch = TypeCache::new(strategy, 4, 0, &cfg(mode, threads));
+                let got = batch.select_batch(&reqs);
                 for (g, e) in got.iter().zip(&expected) {
                     assert_eq!(&g[..], &e[..], "threads = {threads}, mode = {mode:?}");
                 }
@@ -1500,24 +1426,26 @@ mod tests {
             })
             .collect();
         let mut pairs: Vec<ListPair> = Vec::new();
-        for i in 0..sets.len() {
-            for j in 0..sets.len() {
-                pairs.push((sets[i].clone(), sets[j].clone()));
+        for a in &sets {
+            for b in &sets {
+                pairs.push((a.clone(), b.clone()));
             }
         }
         for g in [0u64, 2] {
-            for mode in [KernelMode::Fast, KernelMode::Reference] {
-                let mut seq = TypeCache::new(strategy, 5, g, mode);
-                let expected: Vec<bool> = pairs.iter().map(|(a, b)| seq.conflict(a, b)).collect();
-                for threads in [1usize, 4] {
-                    let cfg = KernelConfig::from(mode).with_threads(threads);
-                    let mut batch = TypeCache::with_config(strategy, 5, g, &cfg);
-                    assert_eq!(
-                        batch.conflict_batch(&pairs),
-                        expected,
-                        "threads = {threads}"
-                    );
-                    assert_eq!(batch.stats, seq.stats, "threads = {threads}");
+            for mode in MODES {
+                let mut seq = TypeCache::new(strategy, 5, g, &cfg(mode, 1));
+                let expected: Vec<bool> = pairs
+                    .iter()
+                    .map(|(a, b)| conflict_one(&mut seq, a, b))
+                    .collect();
+                for ((a, b), &e) in pairs.iter().zip(&expected) {
+                    assert_eq!(e, tau_g_conflict(a, b, 5, g), "g = {g}, mode = {mode:?}");
+                }
+                for threads in THREADS {
+                    let tag = format!("g = {g}, mode = {mode:?}, threads = {threads}");
+                    let mut batch = TypeCache::new(strategy, 5, g, &cfg(mode, threads));
+                    assert_eq!(batch.conflict_batch(&pairs), expected, "{tag}");
+                    assert_eq!(batch.stats, seq.stats, "{tag}");
                 }
             }
         }
@@ -1533,39 +1461,65 @@ mod tests {
             })
             .collect();
         let cand: Arc<[u64]> = Arc::from(&(0..30u64).map(|i| i * 3).collect::<Vec<_>>()[..]);
-        for g in [0u64, 1] {
-            let mut seq = TypeCache::new(strategy, 3, g, KernelMode::Fast);
-            let mut expected = Vec::new();
-            for node in 0..12usize {
-                let ports = (0..sets.len()).map(|p| {
-                    if (node + p) % 3 == 0 {
-                        (Some((node * 5 + p) as u64), None)
-                    } else {
-                        (None, Some(&sets[(node + p) % sets.len()]))
-                    }
-                });
-                expected.push(seq.best_color(&cand, ports));
+        // Node `node`'s port `p`: a decided color or an undecided set.
+        let port = |node: usize, p: usize| -> (Option<u64>, Option<&Arc<[u64]>>) {
+            if (node + p) % 3 == 0 {
+                (Some((node * 5 + p) as u64), None)
+            } else {
+                (None, Some(&sets[(node + p) % sets.len()]))
             }
-            for threads in [1usize, 4] {
-                let cfg = KernelConfig::from(KernelMode::Fast).with_threads(threads);
-                let mut par = TypeCache::with_config(strategy, 3, g, &cfg);
-                let mut batch = DecisionBatch::new();
-                for node in 0..12usize {
-                    let ports = (0..sets.len()).map(|p| {
-                        if (node + p) % 3 == 0 {
-                            (Some((node * 5 + p) as u64), None)
-                        } else {
-                            (None, Some(&sets[(node + p) % sets.len()]))
-                        }
-                    });
-                    par.push_decision(&mut batch, &cand, ports);
+        };
+        for g in [0u64, 1] {
+            let expected: Vec<Option<(u64, u64)>> = (0..12usize)
+                .map(|node| {
+                    let ports: Vec<_> = (0..sets.len()).map(|p| port(node, p)).collect();
+                    let decided: Vec<u64> = ports.iter().filter_map(|&(c, _)| c).collect();
+                    let undecided: Vec<Arc<[u64]>> =
+                        ports.iter().filter_map(|&(_, s)| s.cloned()).collect();
+                    reference_best_color(&cand, g, &decided, &undecided)
+                })
+                .collect();
+            for mode in MODES {
+                let mut stats = None;
+                for threads in THREADS {
+                    let tag = format!("g = {g}, mode = {mode:?}, threads = {threads}");
+                    let mut cache = TypeCache::new(strategy, 3, g, &cfg(mode, threads));
+                    let mut batch = DecisionBatch::new();
+                    for node in 0..12usize {
+                        cache.push_decision(
+                            &mut batch,
+                            &cand,
+                            (0..sets.len()).map(|p| port(node, p)),
+                        );
+                    }
+                    assert_eq!(cache.best_color_batch(&batch), expected, "{tag}");
+                    assert_eq!(*stats.get_or_insert(cache.stats), cache.stats, "{tag}");
                 }
-                assert_eq!(
-                    par.best_color_batch(&batch),
-                    expected,
-                    "threads = {threads}"
-                );
-                assert_eq!(par.stats, seq.stats, "threads = {threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn prune_matches_reference_loop() {
+        let strategy = SeededSubset { seed: 6 };
+        let sets: Vec<Arc<[u64]>> = (0..6)
+            .map(|j| {
+                let v: Vec<u64> = (0..50u64).map(|i| i * (j % 3 + 1) + j).collect();
+                Arc::from(&v[..])
+            })
+            .collect();
+        let list: Vec<u64> = (0..160).collect();
+        // Repeated sets exercise the multiplicity grouping.
+        let ports: Vec<&Arc<[u64]>> = [0usize, 1, 1, 2, 3, 3, 3, 4, 5].map(|i| &sets[i]).to_vec();
+        for budget in 0..5u64 {
+            let mut want = list.clone();
+            reference_prune(&mut want, budget, &ports);
+            assert!(want.len() < list.len(), "budget {budget} prunes something");
+            for mode in MODES {
+                let mut cache = TypeCache::new(strategy, 2, 0, &cfg(mode, 1));
+                let mut got = list.clone();
+                cache.prune(&mut got, budget, ports.iter().copied());
+                assert_eq!(got, want, "budget = {budget}, mode = {mode:?}");
             }
         }
     }
@@ -1576,61 +1530,74 @@ mod tests {
         let list: Vec<u64> = (0..150u64).map(|i| i * 4).collect();
         let a: Arc<[u64]> = Arc::from(&mk(&[1, 4, 9, 16, 25, 36])[..]);
         let b: Arc<[u64]> = Arc::from(&mk(&[2, 3, 5, 8, 13, 21, 34])[..]);
-
-        // Baseline: two private caches, no sharing.
-        let run_private = |_: ()| {
-            let mut c = TypeCache::new(strategy, 3, 0, KernelMode::Fast);
-            let s = c.select(9, &list, 10, 0);
-            let v = c.conflict(&a, &b);
-            (s, v, c.stats)
+        let run = |cache: &mut TypeCache| {
+            let s = select_one(cache, req(9, &list, 10, 0));
+            let v = conflict_one(cache, &a, &b);
+            (s, v)
         };
-        let (s1, v1, stats1) = run_private(());
+        for mode in MODES {
+            for threads in THREADS {
+                let tag = format!("{mode:?} t={threads}");
+                // Baseline: a private cache, no sharing.
+                let mut private = TypeCache::new(strategy, 3, 0, &cfg(mode, threads));
+                let (s1, v1) = run(&mut private);
 
-        let shared = SharedTypeCache::new(4, 1024);
-        let cfg = KernelConfig::default().with_shared(shared.clone());
-        let mut first = TypeCache::with_config(strategy, 3, 0, &cfg);
-        let fs = first.select(9, &list, 10, 0);
-        let fv = first.conflict(&a, &b);
-        assert_eq!(&fs[..], &s1[..]);
-        assert_eq!(fv, v1);
-        assert_eq!(first.stats.shared_hits, 0);
-        assert_eq!(first.stats.shared_misses, 2);
+                let shared = SharedTypeCache::new(4, 1024);
+                let with_shared = cfg(mode, threads).with_shared(shared.clone());
+                let mut first = TypeCache::new(strategy, 3, 0, &with_shared);
+                let (fs, fv) = run(&mut first);
+                let mut second = TypeCache::new(strategy, 3, 0, &with_shared);
+                let (ss, sv) = run(&mut second);
+                assert_eq!((&fs[..], fv), (&s1[..], v1), "{tag}");
+                assert_eq!(
+                    (&ss[..], sv),
+                    (&s1[..], v1),
+                    "{tag}: shared hit is byte-identical"
+                );
 
-        let mut second = TypeCache::with_config(strategy, 3, 0, &cfg);
-        let ss = second.select(9, &list, 10, 0);
-        let sv = second.conflict(&a, &b);
-        assert_eq!(&ss[..], &s1[..], "shared hit must be byte-identical");
-        assert_eq!(sv, v1);
-        assert_eq!(
-            second.stats.shared_hits, 2,
-            "second cache hits warm entries"
-        );
-        assert_eq!(second.stats.shared_misses, 0);
-
-        // The deterministic counter stream is identical with sharing on
-        // or off: a shared hit is still a private miss.
-        for st in [first.stats, second.stats] {
-            assert_eq!(st.select_calls, stats1.select_calls);
-            assert_eq!(st.select_misses, stats1.select_misses);
-            assert_eq!(st.conflict_calls, stats1.conflict_calls);
-            assert_eq!(st.conflict_misses, stats1.conflict_misses);
+                // The deterministic counter stream is identical with sharing
+                // on or off: a shared hit is still a private miss.
+                for st in [first.stats, second.stats] {
+                    assert_eq!(st.select_calls, private.stats.select_calls, "{tag}");
+                    assert_eq!(st.select_misses, private.stats.select_misses, "{tag}");
+                    assert_eq!(st.conflict_calls, private.stats.conflict_calls, "{tag}");
+                    assert_eq!(st.conflict_misses, private.stats.conflict_misses, "{tag}");
+                }
+                let snap = shared.snapshot();
+                if mode == KernelMode::Reference {
+                    // The reference kernels never consult the shared layer.
+                    assert_eq!(snap, SharedCacheStats::default(), "{tag}");
+                    continue;
+                }
+                assert_eq!(
+                    (first.stats.shared_hits, first.stats.shared_misses),
+                    (0, 2),
+                    "{tag}"
+                );
+                assert_eq!(
+                    (second.stats.shared_hits, second.stats.shared_misses),
+                    (2, 0),
+                    "{tag}"
+                );
+                assert_eq!((snap.hits, snap.misses, snap.entries), (2, 2, 2), "{tag}");
+            }
         }
-        let snap = shared.snapshot();
-        assert_eq!(snap.hits, 2);
-        assert_eq!(snap.misses, 2);
-        assert_eq!(snap.entries, 2);
     }
 
     #[test]
     fn list_capacity_bound_evicts_deterministically() {
         let strategy = SeededSubset { seed: 2 };
-        let cfg = KernelConfig::default().with_list_capacity(4);
-        let mut cache = TypeCache::with_config(strategy, 2, 0, &cfg);
         let lists: Vec<Vec<u64>> = (0..10)
             .map(|j| (0..40u64).map(|i| i * 2 + j).collect())
             .collect();
+        let mut cache = TypeCache::new(
+            strategy,
+            2,
+            0,
+            &KernelConfig::default().with_list_capacity(4),
+        );
         for list in &lists {
-            let got = cache.select(5, list, 8, 0);
+            let got = select_one(&mut cache, req(5, list, 8, 0));
             assert_eq!(&got[..], &strategy.select(5, list, 8, 0)[..]);
         }
         // 10 distinct lists through a 4-slot store: resets at the 5th and
@@ -1639,13 +1606,13 @@ mod tests {
         assert_eq!(cache.stats.select_misses, 10);
         // Correctness survives the reset: a re-interned list still
         // selects the same bytes (and re-misses, since the memo reset).
-        let again = cache.select(5, &lists[0], 8, 0);
+        let again = select_one(&mut cache, req(5, &lists[0], 8, 0));
         assert_eq!(&again[..], &strategy.select(5, &lists[0], 8, 0)[..]);
 
         // A run that never reaches capacity reports zero evictions.
-        let mut roomy = TypeCache::new(strategy, 2, 0, KernelMode::Fast);
+        let mut roomy = TypeCache::new(strategy, 2, 0, &KernelConfig::default());
         for list in &lists {
-            roomy.select(5, list, 8, 0);
+            select_one(&mut roomy, req(5, list, 8, 0));
         }
         assert_eq!(roomy.stats.evictions, 0);
     }
@@ -1658,27 +1625,19 @@ mod tests {
             .collect();
         // Same list revisited across the reset boundary: ids recycle, so
         // the queue map must not alias old and new keys.
-        let order: Vec<usize> = vec![0, 1, 2, 0, 3, 4, 5, 6, 0, 7, 8, 0];
-        let cfg = KernelConfig::default().with_list_capacity(3);
-        let mut seq = TypeCache::with_config(strategy, 2, 0, &cfg);
-        let expected: Vec<Arc<[u64]>> = order
-            .iter()
-            .map(|&li| seq.select(11, &lists[li], 6, 0))
-            .collect();
-        let mut batch = TypeCache::with_config(strategy, 2, 0, &cfg);
-        let reqs: Vec<SelectReq<'_>> = order
-            .iter()
-            .map(|&li| SelectReq {
-                init_color: 11,
-                list: &lists[li],
-                k: 6,
-                attempt: 0,
-            })
-            .collect();
-        let got = batch.select_batch(&reqs);
-        for (g, e) in got.iter().zip(&expected) {
-            assert_eq!(&g[..], &e[..]);
+        let order = [0usize, 1, 2, 0, 3, 4, 5, 6, 0, 7, 8, 0];
+        let reqs: Vec<SelectReq<'_>> = order.iter().map(|&li| req(11, &lists[li], 6, 0)).collect();
+        for threads in THREADS {
+            let capped = cfg(KernelMode::Fast, threads).with_list_capacity(3);
+            let mut seq = TypeCache::new(strategy, 2, 0, &capped);
+            let expected: Vec<Arc<[u64]>> = reqs.iter().map(|&r| select_one(&mut seq, r)).collect();
+            assert!(seq.stats.evictions > 0, "the reset fires mid-batch");
+            let mut batch = TypeCache::new(strategy, 2, 0, &capped);
+            let got = batch.select_batch(&reqs);
+            for (g, e) in got.iter().zip(&expected) {
+                assert_eq!(&g[..], &e[..], "threads = {threads}");
+            }
+            assert_eq!(batch.stats, seq.stats, "threads = {threads}");
         }
-        assert_eq!(batch.stats, seq.stats);
     }
 }

@@ -8,7 +8,7 @@
 //! requirement (the factor Theorem 1.1 later improves to `polyloglog β`).
 
 use crate::ctx::{span, CoreError, OldcCtx};
-use crate::kernels::{KernelConfig, KernelMode};
+use crate::kernels::KernelConfig;
 use crate::problem::{Color, DefectList};
 use crate::single_defect::{solve_single_defect_cfg, SingleDefectOutcome};
 use ldc_sim::Network;
@@ -51,19 +51,7 @@ pub fn solve_multi_defect(
     lists: &[DefectList],
     g: u64,
 ) -> Result<MultiDefectOutcome, CoreError> {
-    solve_multi_defect_in(net, ctx, lists, g, KernelMode::default())
-}
-
-/// [`solve_multi_defect`] with an explicit [`KernelMode`] for the
-/// underlying §3.2 engine (the bucket choice itself is kernel-free).
-pub fn solve_multi_defect_in(
-    net: &mut Network<'_>,
-    ctx: &OldcCtx<'_, '_>,
-    lists: &[DefectList],
-    g: u64,
-    mode: KernelMode,
-) -> Result<MultiDefectOutcome, CoreError> {
-    solve_multi_defect_cfg(net, ctx, lists, g, &KernelConfig::from(mode))
+    solve_multi_defect_cfg(net, ctx, lists, g, &KernelConfig::default())
 }
 
 /// [`solve_multi_defect`] with a full [`KernelConfig`] for the underlying

@@ -22,9 +22,7 @@
 
 use crate::cover::SeededSubset;
 use crate::ctx::{span, CandidateMsg, CensusMsg, CoreError, DecisionMsg, OldcCtx};
-use crate::kernels::{
-    DecisionBatch, KernelConfig, KernelMode, KernelStats, ListPair, SelectReq, TypeCache,
-};
+use crate::kernels::{DecisionBatch, KernelConfig, KernelStats, ListPair, SelectReq, TypeCache};
 use crate::multi_defect::solve_multi_defect_cfg;
 use crate::params::k_of_class;
 use crate::problem::{Color, DefectList};
@@ -95,36 +93,23 @@ pub fn solve_with_classes(
     ctx: &OldcCtx<'_, '_>,
     inputs: &[ClassedInput],
 ) -> Result<(Vec<Option<Color>>, OldcStats), CoreError> {
-    solve_with_classes_in(net, ctx, inputs, KernelMode::default())
-}
-
-/// [`solve_with_classes`] with an explicit [`KernelMode`]. Both modes
-/// produce byte-identical colors, stats (minus the cache counters), rounds,
-/// and message bits; `Reference` exists for differential tests and the
-/// pre-cache baseline rows of `BENCH_solver.json`.
-pub fn solve_with_classes_in(
-    net: &mut Network<'_>,
-    ctx: &OldcCtx<'_, '_>,
-    inputs: &[ClassedInput],
-    mode: KernelMode,
-) -> Result<(Vec<Option<Color>>, OldcStats), CoreError> {
-    solve_with_classes_cfg(net, ctx, inputs, &KernelConfig::from(mode))
+    solve_with_classes_cfg(net, ctx, inputs, &KernelConfig::default())
 }
 
 /// [`solve_with_classes`] with a full [`KernelConfig`]: kernel mode,
 /// worker threads for the batched selection / verification / decision
 /// phases, the interned-list bound, and an optional fleet-shared cache.
-/// Colors, stats (minus the scheduling-dependent shared-hit split),
-/// rounds, and message bits are byte-identical across every
-/// configuration — the batches gather in node order, compute pure kernel
-/// functions in parallel, and publish in node order.
+/// Colors, stats (minus the cache counters across modes and the
+/// scheduling-dependent shared-hit split), rounds, and message bits are
+/// byte-identical across every configuration — the batches gather in
+/// node order, compute pure kernel functions in parallel, and publish in
+/// node order.
 pub fn solve_with_classes_cfg(
     net: &mut Network<'_>,
     ctx: &OldcCtx<'_, '_>,
     inputs: &[ClassedInput],
     cfg: &KernelConfig,
 ) -> Result<(Vec<Option<Color>>, OldcStats), CoreError> {
-    let mode = cfg.mode;
     let graph = ctx.view.graph();
     let view = ctx.view;
     let n = graph.num_nodes();
@@ -203,7 +188,7 @@ pub fn solve_with_classes_cfg(
     // for its whole lifetime, so selections and conflict verdicts are pure
     // functions of their (type-)keys — see `kernels` for why every memo hit
     // is byte-identical to recomputation.
-    let mut cache = TypeCache::with_config(strategy, tau, 0, cfg);
+    let mut cache = TypeCache::new(strategy, tau, 0, cfg);
     let mut stats = OldcStats::default();
 
     // ---------------- Phase 0: laggard candidate sets. ----------------------
@@ -218,11 +203,12 @@ pub fn solve_with_classes_cfg(
         .any(|s| s.active && !s.trivial && s.class == 0)
     {
         let _phase0 = tracer.span(span::PHASE0);
-        for (v, s) in states.iter_mut().enumerate() {
+        let mut lag_nodes: Vec<usize> = Vec::new();
+        let mut lag_reqs: Vec<SelectReq<'_>> = Vec::new();
+        for (v, s) in states.iter().enumerate() {
             if !(s.active && !s.trivial && s.class == 0) {
                 continue;
             }
-            let k_w = (s.out_count / (s.defect + 1) + 1).min(s.list.len() as u64) as usize;
             if (s.list.len() as u64) * (s.defect + 1) <= s.out_count {
                 return Err(CoreError::Precondition {
                     node: v as NodeId,
@@ -234,7 +220,18 @@ pub fn solve_with_classes_cfg(
                     ),
                 });
             }
-            s.cand = Some(cache.select(s.init_color, &s.list, k_w, 0));
+            lag_nodes.push(v);
+            lag_reqs.push(SelectReq {
+                init_color: s.init_color,
+                list: &s.list,
+                k: (s.out_count / (s.defect + 1) + 1).min(s.list.len() as u64) as usize,
+                attempt: 0,
+            });
+        }
+        let lag_sets = cache.select_batch(&lag_reqs);
+        drop(lag_reqs);
+        for (&v, set) in lag_nodes.iter().zip(lag_sets) {
+            states[v].cand = Some(set);
         }
         net.exchange(
             &mut states,
@@ -268,10 +265,6 @@ pub fn solve_with_classes_cfg(
     }
 
     // ---------------- Phase I: ascending classes. --------------------------
-    // Scratch of the grouped pruning pass (Fast mode), hoisted across
-    // classes and nodes.
-    let mut group_ids: Vec<u32> = Vec::new();
-    let mut groups: Vec<(u32, u64)> = Vec::new();
     let mut first_failed: Option<usize> = None;
     for class in 1..=h {
         let _phase = tracer.span(span::phase_i(class));
@@ -282,75 +275,17 @@ pub fn solve_with_classes_cfg(
             }
             // Bad colors: > d/4 lower-class out-neighbors already carry x in
             // their committed candidate set.
-            let budget = s.defect / 4;
             let before = s.list.len();
-            match mode {
-                KernelMode::Reference => {
-                    let nb_relevant = &s.nb_relevant;
-                    let nb_class = &s.nb_class;
-                    let nb_cand = &s.nb_cand;
-                    s.list.retain(|&x| {
-                        let mut cnt = 0u64;
-                        for p in 0..nb_relevant.len() {
-                            if !(nb_relevant[p] && view.is_out_port(v as NodeId, p)) {
-                                continue;
-                            }
-                            if nb_class[p] >= class {
-                                continue;
-                            }
-                            if let Some(cu) = &nb_cand[p] {
-                                if cu.binary_search(&x).is_ok() {
-                                    cnt += 1;
-                                    if cnt > budget {
-                                        return false;
-                                    }
-                                }
-                            }
-                        }
-                        true
-                    });
-                }
-                KernelMode::Fast => {
-                    // Group the lower-class out-ports by distinct candidate
-                    // set: ports sharing a set contribute `multiplicity` per
-                    // membership hit, and membership is one packed probe.
-                    // The count compared to `budget` is the same sum the
-                    // reference loop accumulates port by port.
-                    group_ids.clear();
-                    for p in 0..s.nb_relevant.len() {
-                        if !(s.nb_relevant[p] && view.is_out_port(v as NodeId, p)) {
-                            continue;
-                        }
-                        if s.nb_class[p] >= class {
-                            continue;
-                        }
-                        if let Some(cu) = &s.nb_cand[p] {
-                            group_ids.push(cache.packed_id(cu));
-                        }
-                    }
-                    group_ids.sort_unstable();
-                    groups.clear();
-                    for &id in group_ids.iter() {
-                        match groups.last_mut() {
-                            Some((gid, mult)) if *gid == id => *mult += 1,
-                            _ => groups.push((id, 1)),
-                        }
-                    }
-                    let cache_ref = &cache;
-                    s.list.retain(|&x| {
-                        let mut cnt = 0u64;
-                        for &(id, mult) in groups.iter() {
-                            if cache_ref.packed_contains(id, x) {
-                                cnt += mult;
-                                if cnt > budget {
-                                    return false;
-                                }
-                            }
-                        }
-                        true
-                    });
-                }
-            }
+            let (nb_relevant, nb_class, nb_cand) = (&s.nb_relevant, &s.nb_class, &s.nb_cand);
+            cache.prune(
+                &mut s.list,
+                s.defect / 4,
+                (0..nb_relevant.len())
+                    .filter(|&p| {
+                        nb_relevant[p] && view.is_out_port(v as NodeId, p) && nb_class[p] < class
+                    })
+                    .filter_map(|p| nb_cand[p].as_ref()),
+            );
             s.pruned = (before - s.list.len()) as u64;
             stats.pruned_colors += s.pruned;
             tracer.add(span::CTR_PRUNED_COLORS, s.pruned);
@@ -383,10 +318,9 @@ pub fn solve_with_classes_cfg(
                 });
             }
             // Batched selection: requests gather in node order and resolve
-            // through `select_batch` — byte- and stats-identical to the
-            // sequential per-node `cache.select` loop at every thread count
-            // (misses are pure draws, computed in parallel, published in
-            // node order).
+            // through `select_batch` — byte- and stats-identical to one
+            // request per node in order, at every thread count (misses are
+            // pure draws, computed in parallel, published in node order).
             let sel_nodes: Vec<usize> = states
                 .iter()
                 .enumerate()
@@ -449,8 +383,8 @@ pub fn solve_with_classes_cfg(
             // mode each unordered pair of distinct sets is checked once per
             // solve instead of once per edge. The checked pairs gather in
             // node/port order, resolve through `conflict_batch` (byte- and
-            // stats-identical to sequential `cache.conflict` calls), and
-            // the verdicts apply in the same order.
+            // stats-identical to checking them one at a time), and the
+            // verdicts apply in the same order.
             let mut pairs: Vec<ListPair> = Vec::new();
             for (v, s) in states.iter().enumerate() {
                 if !s.active || s.trivial || s.class != class || s.committed {
@@ -519,6 +453,7 @@ pub fn solve_with_classes_cfg(
 
     // ---------------- Phase II: descending classes. -------------------------
     let phase2 = tracer.span(span::PHASE2);
+    let mut batch = DecisionBatch::new();
     // Trivial nodes decide first (cf. `single_defect`).
     if states.iter().any(|s| s.active && s.trivial) {
         for s in states.iter_mut() {
@@ -557,88 +492,47 @@ pub fn solve_with_classes_cfg(
                 .filter(|s| s.active && s.decided.is_none())
                 .count() as u64,
         );
+        // Batched decisions: jobs gather in node order (the packed-id
+        // interning inside `push_decision` is part of the deterministic
+        // stats stream), run through `best_color_batch`, and apply in node
+        // order — so the first stuck node matches the sequential scan.
         let mut stuck: Option<(NodeId, u64, u64)> = None;
-        match mode {
-            KernelMode::Reference => {
-                for (v, s) in states.iter_mut().enumerate() {
-                    if !(s.active && !s.trivial && s.class == class) {
-                        continue;
-                    }
-                    let cand = s.cand.clone().expect("committed in Phase I");
-                    let mut best: Option<(u64, Color)> = None;
-                    for &x in cand.iter() {
-                        let mut f = 0u64;
-                        for p in 0..s.nb_relevant.len() {
-                            if !(s.nb_relevant[p] && view.is_out_port(v as NodeId, p)) {
-                                continue;
-                            }
-                            if let Some(c) = s.nb_decided[p] {
-                                f += u64::from(c == x);
-                            } else if s.nb_class[p] == class && !s.nb_conflicting[p] {
-                                if let Some(cu) = &s.nb_cand[p] {
-                                    f += u64::from(cu.binary_search(&x).is_ok());
-                                }
-                            }
-                            // Lower classes: covered by Phase I pruning;
-                            // conflicting same-class neighbors: covered by
-                            // the d/4 budget.
-                        }
-                        if best.map_or(true, |(bf, bx)| f < bf || (f == bf && x < bx)) {
-                            best = Some((f, x));
-                        }
-                    }
-                    let (f, x) = best.expect("k ≥ 1 candidate colors");
-                    if f > s.defect / 2 {
-                        stuck.get_or_insert((v as NodeId, f, s.defect / 2));
-                        continue;
-                    }
-                    s.decided = Some(x);
-                }
+        batch.clear();
+        let mut dec_nodes: Vec<usize> = Vec::new();
+        for (v, s) in states.iter().enumerate() {
+            if !(s.active && !s.trivial && s.class == class) {
+                continue;
             }
-            KernelMode::Fast => {
-                // Batched decisions: jobs gather in node order (the
-                // packed-id interning inside `push_decision` is part of
-                // the deterministic stats stream), run through
-                // `best_color_batch`, and apply in node order — so the
-                // first stuck node matches the sequential scan.
-                let mut batch = DecisionBatch::new();
-                let mut dec_nodes: Vec<usize> = Vec::new();
-                for (v, s) in states.iter().enumerate() {
-                    if !(s.active && !s.trivial && s.class == class) {
-                        continue;
+            dec_nodes.push(v);
+            cache.push_decision(
+                &mut batch,
+                s.cand.as_ref().expect("committed in Phase I"),
+                (0..s.nb_relevant.len()).filter_map(|p| {
+                    if !(s.nb_relevant[p] && view.is_out_port(v as NodeId, p)) {
+                        return None;
                     }
-                    dec_nodes.push(v);
-                    cache.push_decision(
-                        &mut batch,
-                        s.cand.as_ref().expect("committed in Phase I"),
-                        (0..s.nb_relevant.len()).filter_map(|p| {
-                            if !(s.nb_relevant[p] && view.is_out_port(v as NodeId, p)) {
-                                return None;
-                            }
-                            if let Some(c) = s.nb_decided[p] {
-                                Some((Some(c), None))
-                            } else if s.nb_class[p] == class && !s.nb_conflicting[p] {
-                                s.nb_cand[p].as_ref().map(|cu| (None, Some(cu)))
-                            } else {
-                                None
-                            }
-                            // Lower classes: covered by Phase I pruning;
-                            // conflicting same-class neighbors: covered by
-                            // the d/4 budget.
-                        }),
-                    );
-                }
-                let results = cache.best_color_batch(&batch);
-                for (&v, best) in dec_nodes.iter().zip(results) {
-                    let s = &mut states[v];
-                    let (f, x) = best.expect("k ≥ 1 candidate colors");
-                    if f > s.defect / 2 {
-                        stuck.get_or_insert((v as NodeId, f, s.defect / 2));
-                        continue;
+                    if let Some(c) = s.nb_decided[p] {
+                        Some((Some(c), None))
+                    } else if s.nb_class[p] == class && !s.nb_conflicting[p] {
+                        s.nb_cand[p].as_ref().map(|cu| (None, Some(cu)))
+                    } else {
+                        None
                     }
-                    s.decided = Some(x);
-                }
+                    // Lower classes: covered by Phase I pruning;
+                    // conflicting same-class neighbors: covered by the d/4
+                    // budget.
+                }),
+            );
+        }
+        let results = cache.best_color_batch(&batch);
+        for (&v, best) in dec_nodes.iter().zip(results) {
+            let s = &mut states[v];
+            let (f, x) = best.expect("k ≥ 1 candidate colors");
+            if f > s.defect / 2 {
+                stuck.get_or_insert((v as NodeId, f, s.defect / 2));
+                continue;
             }
+            s.decided = Some(x);
         }
         if let Some((node, best, budget)) = stuck {
             return Err(CoreError::PigeonholeFailed { node, best, budget });
@@ -689,6 +583,7 @@ pub fn solve_with_classes_cfg(
         let _laggard = tracer.span(span::LAGGARD_CHAIN);
         let laggard_cap = n + 8;
         let mut iters = 0usize;
+        let mut stuck: Option<(NodeId, u64, u64)> = None;
         loop {
             let remaining = states
                 .iter()
@@ -700,56 +595,47 @@ pub fn solve_with_classes_cfg(
             tracer.add(span::CTR_UNDECIDED_NODE_ROUNDS, remaining as u64);
             iters += 1;
             tracer.set_max(span::CTR_LAGGARD_CHAIN_DEPTH, iters as u64);
-            assert!(
-                iters <= laggard_cap,
-                "laggard phase exceeded the directed-chain bound"
-            );
-            // Try to commit.
-            for (v, s) in states.iter_mut().enumerate() {
+            if iters > laggard_cap {
+                // Past the directed-chain bound the phase has stalled:
+                // every remaining laggard missed its budget last round.
+                let (node, best, budget) = stuck.expect("an undecided laggard was stuck");
+                return Err(CoreError::PigeonholeFailed { node, best, budget });
+            }
+            // Try to commit. No laggard reads another's same-round
+            // decision, so the round is one decision batch.
+            stuck = None;
+            batch.clear();
+            let mut dec_nodes: Vec<usize> = Vec::new();
+            for (v, s) in states.iter().enumerate() {
                 if !(s.active && !s.trivial && s.class == 0 && s.decided.is_none()) {
                     continue;
                 }
-                let cand = s.cand.clone().expect("committed in Phase 0");
-                let best = match mode {
-                    KernelMode::Reference => {
-                        let mut best: Option<(u64, Color)> = None;
-                        for &x in cand.iter() {
-                            let mut f = 0u64;
-                            for p in 0..s.nb_relevant.len() {
-                                if !(s.nb_relevant[p] && view.is_out_port(v as NodeId, p)) {
-                                    continue;
-                                }
-                                if let Some(c) = s.nb_decided[p] {
-                                    f += u64::from(c == x);
-                                } else if let Some(cu) = &s.nb_cand[p] {
-                                    // Undecided laggard out-neighbor: charge
-                                    // its whole candidate set.
-                                    f += u64::from(cu.binary_search(&x).is_ok());
-                                }
-                            }
-                            if best.map_or(true, |(bf, bx)| f < bf || (f == bf && x < bx)) {
-                                best = Some((f, x));
-                            }
+                dec_nodes.push(v);
+                cache.push_decision(
+                    &mut batch,
+                    s.cand.as_ref().expect("committed in Phase 0"),
+                    (0..s.nb_relevant.len()).filter_map(|p| {
+                        if !(s.nb_relevant[p] && view.is_out_port(v as NodeId, p)) {
+                            return None;
                         }
-                        best
-                    }
-                    KernelMode::Fast => cache.best_color(
-                        &cand,
-                        (0..s.nb_relevant.len()).filter_map(|p| {
-                            if !(s.nb_relevant[p] && view.is_out_port(v as NodeId, p)) {
-                                return None;
-                            }
-                            if let Some(c) = s.nb_decided[p] {
-                                Some((Some(c), None))
-                            } else {
-                                s.nb_cand[p].as_ref().map(|cu| (None, Some(cu)))
-                            }
-                        }),
-                    ),
-                };
+                        if let Some(c) = s.nb_decided[p] {
+                            Some((Some(c), None))
+                        } else {
+                            // Undecided laggard out-neighbor: charge its
+                            // whole candidate set.
+                            s.nb_cand[p].as_ref().map(|cu| (None, Some(cu)))
+                        }
+                    }),
+                );
+            }
+            let results = cache.best_color_batch(&batch);
+            for (&v, best) in dec_nodes.iter().zip(results) {
+                let s = &mut states[v];
                 let (f, x) = best.expect("laggard candidate sets are non-empty");
                 if f <= s.defect {
                     s.decided = Some(x);
+                } else {
+                    stuck.get_or_insert((v as NodeId, f, s.defect));
                 }
             }
             // Announce commitments (undecided laggards stay silent — their
@@ -821,18 +707,7 @@ pub fn solve_oldc(
     ctx: &OldcCtx<'_, '_>,
     lists: &[DefectList],
 ) -> Result<OldcOutcome, CoreError> {
-    solve_oldc_in(net, ctx, lists, KernelMode::default())
-}
-
-/// [`solve_oldc`] with an explicit [`KernelMode`] (threaded through the
-/// auxiliary Lemma 3.6 instance and the Lemma 3.7 engine alike).
-pub fn solve_oldc_in(
-    net: &mut Network<'_>,
-    ctx: &OldcCtx<'_, '_>,
-    lists: &[DefectList],
-    mode: KernelMode,
-) -> Result<OldcOutcome, CoreError> {
-    solve_oldc_cfg(net, ctx, lists, &KernelConfig::from(mode))
+    solve_oldc_cfg(net, ctx, lists, &KernelConfig::default())
 }
 
 /// [`solve_oldc`] with a full [`KernelConfig`] (threaded through the

@@ -20,12 +20,10 @@
 //!    `f_v(x) = Σ_{u: i_u ≤ i_v} μ_g(x, C_u) + #{decided u: |x_u−x| ≤ g}`,
 //!    which the pigeonhole of §3.2.3 bounds by `d_v`.
 
-use crate::conflict::{best_residue, mu_g, residue_restrict};
+use crate::conflict::{best_residue, residue_restrict};
 use crate::cover::SeededSubset;
 use crate::ctx::{span, CandidateMsg, CensusMsg, CoreError, DecisionMsg, OldcCtx};
-use crate::kernels::{
-    DecisionBatch, KernelConfig, KernelMode, KernelStats, ListPair, SelectReq, TypeCache,
-};
+use crate::kernels::{DecisionBatch, KernelConfig, KernelStats, ListPair, SelectReq, TypeCache};
 use crate::params::{gamma_class, k_of_class};
 use crate::problem::Color;
 use ldc_graph::NodeId;
@@ -86,20 +84,7 @@ pub fn solve_single_defect(
     defects: &[u64],
     g: u64,
 ) -> Result<SingleDefectOutcome, CoreError> {
-    solve_single_defect_in(net, ctx, lists, defects, g, KernelMode::default())
-}
-
-/// [`solve_single_defect`] with an explicit [`KernelMode`]. Both modes
-/// produce byte-identical colors, retries, rounds, and message bits.
-pub fn solve_single_defect_in(
-    net: &mut Network<'_>,
-    ctx: &OldcCtx<'_, '_>,
-    lists: &[Vec<Color>],
-    defects: &[u64],
-    g: u64,
-    mode: KernelMode,
-) -> Result<SingleDefectOutcome, CoreError> {
-    solve_single_defect_cfg(net, ctx, lists, defects, g, &KernelConfig::from(mode))
+    solve_single_defect_cfg(net, ctx, lists, defects, g, &KernelConfig::default())
 }
 
 /// [`solve_single_defect`] with a full [`KernelConfig`] (kernel mode,
@@ -115,7 +100,6 @@ pub fn solve_single_defect_cfg(
     g: u64,
     cfg: &KernelConfig,
 ) -> Result<SingleDefectOutcome, CoreError> {
-    let mode = cfg.mode;
     let graph = ctx.view.graph();
     let n = graph.num_nodes();
     assert_eq!(lists.len(), n);
@@ -233,7 +217,7 @@ pub fn solve_single_defect_cfg(
     // One type cache per solve: τ and g are fixed from here on, so the
     // memoized selections and conflict verdicts are pure functions of their
     // keys (see `kernels`).
-    let mut cache = TypeCache::with_config(strategy, tau, g, cfg);
+    let mut cache = TypeCache::new(strategy, tau, g, cfg);
     let mut selection_retries = 0u64;
     let mut selection_rounds = 0u32;
     let mut first_failed: Option<usize> = None;
@@ -248,8 +232,8 @@ pub fn solve_single_defect_cfg(
                 attempts: MAX_SELECTION_ROUNDS,
             });
         }
-        // Batched selection (byte- and stats-identical to sequential
-        // per-node `cache.select` calls in node order — see `oldc`).
+        // Batched selection (byte- and stats-identical to one request per
+        // node in node order — see `oldc`).
         let sel_nodes: Vec<usize> = states
             .iter()
             .enumerate()
@@ -397,82 +381,45 @@ pub fn solve_single_defect_cfg(
             },
         )?;
     }
+    let mut batch = DecisionBatch::new();
     for class in (1..=h).rev() {
-        // Pick colors locally.
+        // Batched decisions: gather every node's frequency job in node
+        // order, evaluate in parallel chunks, apply in node order —
+        // identical to the per-node sequential pass.
         let mut stuck: Option<(NodeId, u64, u64)> = None;
-        match mode {
-            KernelMode::Reference => {
-                for (v, s) in states.iter_mut().enumerate() {
-                    if !(s.active && !s.trivial && s.class == class) {
-                        continue;
-                    }
-                    let cand = s.cand.clone();
-                    let mut best: Option<(u64, Color)> = None;
-                    for &x in cand.iter() {
-                        let mut f = 0u64;
-                        for p in 0..s.nb_relevant.len() {
-                            if !(s.nb_relevant[p] && view.is_out_port(v as NodeId, p)) {
-                                continue;
-                            }
-                            if let Some(c) = s.nb_decided[p] {
-                                f += u64::from(c.abs_diff(x) <= g);
-                            } else if s.nb_class[p] <= s.class {
-                                if let Some(cu) = &s.nb_cand[p] {
-                                    f += mu_g(x, cu, g);
-                                }
-                            }
-                        }
-                        if best.map_or(true, |(bf, bx)| f < bf || (f == bf && x < bx)) {
-                            best = Some((f, x));
-                        }
-                    }
-                    let (f, x) = best.expect("candidate set is non-empty");
-                    if f > s.defect {
-                        stuck.get_or_insert((v as NodeId, f, s.defect));
-                        continue;
-                    }
-                    s.decided = Some(x);
-                }
+        batch.clear();
+        let mut dec_nodes: Vec<usize> = Vec::new();
+        for (v, s) in states.iter().enumerate() {
+            if !(s.active && !s.trivial && s.class == class) {
+                continue;
             }
-            KernelMode::Fast => {
-                // Batched decisions: gather every node's frequency job in
-                // node order, evaluate in parallel chunks, apply in node
-                // order — identical to the per-node sequential pass.
-                let mut batch = DecisionBatch::new();
-                let mut dec_nodes: Vec<usize> = Vec::new();
-                for (v, s) in states.iter().enumerate() {
-                    if !(s.active && !s.trivial && s.class == class) {
-                        continue;
+            dec_nodes.push(v);
+            cache.push_decision(
+                &mut batch,
+                &s.cand,
+                (0..s.nb_relevant.len()).filter_map(|p| {
+                    if !(s.nb_relevant[p] && view.is_out_port(v as NodeId, p)) {
+                        return None;
                     }
-                    dec_nodes.push(v);
-                    cache.push_decision(
-                        &mut batch,
-                        &s.cand,
-                        (0..s.nb_relevant.len()).filter_map(|p| {
-                            if !(s.nb_relevant[p] && view.is_out_port(v as NodeId, p)) {
-                                return None;
-                            }
-                            if let Some(c) = s.nb_decided[p] {
-                                Some((Some(c), None))
-                            } else if s.nb_class[p] <= s.class {
-                                s.nb_cand[p].as_ref().map(|cu| (None, Some(cu)))
-                            } else {
-                                None
-                            }
-                        }),
-                    );
-                }
-                let results = cache.best_color_batch(&batch);
-                for (&v, best) in dec_nodes.iter().zip(results) {
-                    let s = &mut states[v];
-                    let (f, x) = best.expect("candidate set is non-empty");
-                    if f > s.defect {
-                        stuck.get_or_insert((v as NodeId, f, s.defect));
-                        continue;
+                    if let Some(c) = s.nb_decided[p] {
+                        Some((Some(c), None))
+                    } else if s.nb_class[p] <= s.class {
+                        s.nb_cand[p].as_ref().map(|cu| (None, Some(cu)))
+                    } else {
+                        None
                     }
-                    s.decided = Some(x);
-                }
+                }),
+            );
+        }
+        let results = cache.best_color_batch(&batch);
+        for (&v, best) in dec_nodes.iter().zip(results) {
+            let s = &mut states[v];
+            let (f, x) = best.expect("candidate set is non-empty");
+            if f > s.defect {
+                stuck.get_or_insert((v as NodeId, f, s.defect));
+                continue;
             }
+            s.decided = Some(x);
         }
         if let Some((node, best, budget)) = stuck {
             return Err(CoreError::PigeonholeFailed { node, best, budget });

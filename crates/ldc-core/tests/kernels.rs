@@ -9,20 +9,23 @@
 //! 2. **Full-solve differentials** — the Theorem 1.1 / §3.2 / Theorem 1.3
 //!    drivers run twice, `KernelMode::Fast` vs `KernelMode::Reference`, on
 //!    fresh networks; colors, retries, rounds, and total message bits must
-//!    be **byte-identical** (not merely both valid).
+//!    be **byte-identical** (not merely both valid). The lollipop instance
+//!    also covers Theorem 1.1's Phase 0 and laggard chain.
+
+mod common;
 
 use ldc_core::arbdefective::{solve_list_arbdefective, ArbConfig, Substrate};
-use ldc_core::colorspace::{ReferenceKernelSolver, Theorem11Solver};
+use ldc_core::colorspace::Theorem11Solver;
 use ldc_core::conflict::{conflict_weight, mu_g, psi_g, tau_g_conflict};
 use ldc_core::cover::SeededSubset;
 use ldc_core::kernels::{conflict_weight_at_least, psi_g_fast, KernelMode, PackedSet};
-use ldc_core::oldc::solve_oldc_in;
+use ldc_core::oldc::solve_oldc_cfg;
 use ldc_core::params::{practical_kappa, ParamProfile};
-use ldc_core::single_defect::solve_single_defect_in;
+use ldc_core::single_defect::solve_single_defect_cfg;
 use ldc_core::{Color, DefectList, OldcCtx};
 use ldc_graph::{generators, DirectedView, ProperColoring};
 use ldc_rand::Rng;
-use ldc_sim::{Bandwidth, Network};
+use ldc_sim::{Bandwidth, Network, Tracer};
 
 /// A random sorted, deduplicated list of up to `max_len` colors drawn from
 /// `[base, base + span)`.
@@ -146,9 +149,15 @@ fn full_ctx<'a, 'g>(
     }
 }
 
-/// Run `solve_oldc_in` under both kernel modes on fresh networks and
-/// assert byte-identical colors, stats, classes, rounds, and bits.
-fn assert_oldc_differential(g: &ldc_graph::Graph, lists: &[DefectList], space: u64, seed: u64) {
+/// Run `solve_oldc_cfg` under both kernel modes on fresh traced networks
+/// and assert byte-identical colors, stats, classes, rounds, and bits.
+/// Returns [`common::laggard_trace`] of the runs (equal in both modes).
+fn assert_oldc_differential(
+    g: &ldc_graph::Graph,
+    lists: &[DefectList],
+    space: u64,
+    seed: u64,
+) -> (bool, u64) {
     let n = g.num_nodes();
     let view = DirectedView::bidirected(g);
     let init: Vec<u64> = (0..n as u64).collect();
@@ -157,9 +166,11 @@ fn assert_oldc_differential(g: &ldc_graph::Graph, lists: &[DefectList], space: u
     let ctx = full_ctx(&view, space, &init, n as u64, &active, &group, seed);
 
     let mut net_fast = Network::new(g, Bandwidth::Local);
-    let fast = solve_oldc_in(&mut net_fast, &ctx, lists, KernelMode::Fast).unwrap();
+    net_fast.set_tracer(Tracer::new());
+    let fast = solve_oldc_cfg(&mut net_fast, &ctx, lists, &KernelMode::Fast.into()).unwrap();
     let mut net_ref = Network::new(g, Bandwidth::Local);
-    let refr = solve_oldc_in(&mut net_ref, &ctx, lists, KernelMode::Reference).unwrap();
+    net_ref.set_tracer(Tracer::new());
+    let refr = solve_oldc_cfg(&mut net_ref, &ctx, lists, &KernelMode::Reference.into()).unwrap();
 
     assert_eq!(fast.colors, refr.colors, "colors must be byte-identical");
     assert_eq!(fast.classes, refr.classes);
@@ -173,6 +184,9 @@ fn assert_oldc_differential(g: &ldc_graph::Graph, lists: &[DefectList], space: u
     // The memo must actually fire: fewer conflict computations than calls
     // whenever any pair repeats (guaranteed on these dense shapes).
     assert!(fast.stats.kernels.conflict_misses <= fast.stats.kernels.conflict_calls);
+    let laggards = common::laggard_trace(&net_fast.tracer().report());
+    assert_eq!(laggards, common::laggard_trace(&net_ref.tracer().report()));
+    laggards
 }
 
 #[test]
@@ -217,6 +231,14 @@ fn cached_solve_oldc_is_byte_identical_on_dense_multipartite() {
 }
 
 #[test]
+fn cached_solve_oldc_is_byte_identical_with_laggards() {
+    let (g, lists, space) = common::laggard_lollipop();
+    let (phase0, depth) = assert_oldc_differential(&g, &lists, space, 5);
+    assert!(phase0, "Phase 0 ran");
+    assert!(depth > 0, "the laggard chain ran");
+}
+
+#[test]
 fn cached_single_defect_is_byte_identical_with_color_distance() {
     // g > 0 exercises the μ_g window kernels and the merge-based conflict
     // path (popcount shortcut only covers g = 0).
@@ -241,16 +263,23 @@ fn cached_single_defect_is_byte_identical_with_color_distance() {
     let defects = vec![1u64; n];
 
     let mut net_fast = Network::new(&g, Bandwidth::Local);
-    let fast =
-        solve_single_defect_in(&mut net_fast, &ctx, &lists, &defects, 2, KernelMode::Fast).unwrap();
+    let fast = solve_single_defect_cfg(
+        &mut net_fast,
+        &ctx,
+        &lists,
+        &defects,
+        2,
+        &KernelMode::Fast.into(),
+    )
+    .unwrap();
     let mut net_ref = Network::new(&g, Bandwidth::Local);
-    let refr = solve_single_defect_in(
+    let refr = solve_single_defect_cfg(
         &mut net_ref,
         &ctx,
         &lists,
         &defects,
         2,
-        KernelMode::Reference,
+        &KernelMode::Reference.into(),
     )
     .unwrap();
 
@@ -267,9 +296,9 @@ fn cached_single_defect_is_byte_identical_with_color_distance() {
 #[test]
 fn cached_theorem13_driver_is_byte_identical_e6_shape() {
     // The Theorem 1.3 (degree+1)-style driver — the instance shape E6
-    // feeds into Theorem 1.4 — run through `Theorem11Solver` (Fast) and
-    // `ReferenceKernelSolver`. Solver choice must not move a byte of the
-    // coloring, the orientation, or the round/bit accounting.
+    // feeds into Theorem 1.4 — run through `Theorem11Solver` in both kernel
+    // modes. The mode must not move a byte of the coloring, the
+    // orientation, or the round/bit accounting.
     let delta = 12usize;
     let n = 24 * delta;
     let g = generators::random_regular(n, delta, 13);
@@ -286,13 +315,16 @@ fn cached_theorem13_driver_is_byte_identical_e6_shape() {
         seed: 3,
     };
 
-    let mut net_fast = Network::new(&g, Bandwidth::Local);
-    let (colors_f, orient_f, report_f) =
-        solve_list_arbdefective(&mut net_fast, q, &lists, &init, &cfg, &Theorem11Solver).unwrap();
-    let mut net_ref = Network::new(&g, Bandwidth::Local);
-    let (colors_r, orient_r, report_r) =
-        solve_list_arbdefective(&mut net_ref, q, &lists, &init, &cfg, &ReferenceKernelSolver)
-            .unwrap();
+    let run = |mode: KernelMode| {
+        let mut net = Network::new(&g, Bandwidth::Local);
+        let solver = Theorem11Solver {
+            kernels: mode.into(),
+        };
+        let out = solve_list_arbdefective(&mut net, q, &lists, &init, &cfg, &solver).unwrap();
+        (out, net)
+    };
+    let ((colors_f, orient_f, report_f), net_fast) = run(KernelMode::Fast);
+    let ((colors_r, orient_r, report_r), net_ref) = run(KernelMode::Reference);
 
     assert_eq!(colors_f, colors_r, "colors must be byte-identical");
     assert_eq!(orient_f, orient_r, "orientations must be identical");

@@ -1,12 +1,15 @@
 //! Thread-count invariance suite (DESIGN.md §13): the solver's batched
-//! phases — subset selection, conflict verification, `best_color` — run
-//! over pool workers, and the chunk-then-ordered-merge discipline must
-//! make the worker count unobservable. Four workload shapes (the
-//! `solver_throughput` families, scaled down) run at pool sizes 1/2/4/8
-//! under both kernel modes; colors, γ-classes, selection retries, rounds,
-//! and total wire bits are byte-diffed against the sequential (1-thread)
-//! reference. A failure here means a chunk boundary or merge order leaked
-//! into the algorithm.
+//! phases — subset selection, conflict verification, the frequency
+//! decisions — run over pool workers, and the chunk-then-ordered-merge
+//! discipline must make the worker count unobservable. Four workload
+//! shapes (the `solver_throughput` families, scaled down) plus a lollipop
+//! whose path nodes take Theorem 1.1's Phase 0 and laggard chain run at
+//! pool sizes 1/2/4/8 under both kernel modes; colors, γ-classes,
+//! selection retries, rounds, total wire bits, and the laggard-chain depth
+//! are byte-diffed against the sequential (1-thread) reference. A failure
+//! here means a chunk boundary or merge order leaked into the algorithm.
+
+mod common;
 
 use ldc_core::kernels::{KernelConfig, KernelMode};
 use ldc_core::oldc::{solve_oldc_cfg, OldcOutcome};
@@ -14,7 +17,7 @@ use ldc_core::params::ParamProfile;
 use ldc_core::problem::DefectList;
 use ldc_core::OldcCtx;
 use ldc_graph::{generators, DirectedView, Graph};
-use ldc_sim::{Bandwidth, Network};
+use ldc_sim::{Bandwidth, Network, Tracer};
 use std::collections::BTreeMap;
 
 /// One OLDC instance (graph + lists + init types), small enough for a
@@ -116,11 +119,22 @@ fn workloads() -> Vec<Workload> {
         graph,
     });
 
+    let (graph, lists, space) = common::laggard_lollipop();
+    out.push(Workload {
+        name: "laggard_lollipop_40",
+        lists,
+        space,
+        init: (0..40).collect(),
+        m: 40,
+        graph,
+    });
+
     out
 }
 
-/// Full solve under `cfg`; returns the outcome plus (rounds, total bits).
-fn solve(w: &Workload, cfg: &KernelConfig) -> (OldcOutcome, u64, u64) {
+/// Full solve under `cfg`; returns the outcome plus (rounds, total bits,
+/// laggard-chain depth).
+fn solve(w: &Workload, cfg: &KernelConfig) -> (OldcOutcome, u64, u64, u64) {
     let view = DirectedView::bidirected(&w.graph);
     let active = vec![true; w.graph.num_nodes()];
     let group = vec![0u64; w.graph.num_nodes()];
@@ -135,24 +149,30 @@ fn solve(w: &Workload, cfg: &KernelConfig) -> (OldcOutcome, u64, u64) {
         seed: 5,
     };
     let mut net = Network::new(&w.graph, Bandwidth::Local);
+    net.set_tracer(Tracer::new());
     let out = solve_oldc_cfg(&mut net, &ctx, &w.lists, cfg).expect("workload must be solvable");
+    let (_, laggard_depth) = common::laggard_trace(&net.tracer().report());
     let m = net.metrics();
-    (out, net.rounds() as u64, m.total_bits())
+    (out, net.rounds() as u64, m.total_bits(), laggard_depth)
 }
 
 #[test]
 fn solver_output_is_invariant_across_pool_sizes() {
     for w in workloads() {
         for mode in [KernelMode::Fast, KernelMode::Reference] {
-            let (base, base_rounds, base_bits) = solve(&w, &KernelConfig::from(mode));
-            assert!(
-                base.stats.kernels.conflict_calls > 0,
-                "{}: degenerate instance — conflict kernels never ran",
-                w.name
-            );
+            let (base, base_rounds, base_bits, base_depth) = solve(&w, &KernelConfig::from(mode));
+            if w.name == "laggard_lollipop_40" {
+                assert!(base_depth > 0, "{}: the laggard chain never ran", w.name);
+            } else {
+                assert!(
+                    base.stats.kernels.conflict_calls > 0,
+                    "{}: degenerate instance — conflict kernels never ran",
+                    w.name
+                );
+            }
             for threads in [2usize, 4, 8] {
                 let cfg = KernelConfig::from(mode).with_threads(threads);
-                let (out, rounds, bits) = solve(&w, &cfg);
+                let (out, rounds, bits, depth) = solve(&w, &cfg);
                 let tag = format!("{name} {mode:?} t={threads}", name = w.name);
                 assert_eq!(out.colors, base.colors, "{tag}: colors diverged");
                 assert_eq!(out.classes, base.classes, "{tag}: γ-classes diverged");
@@ -162,6 +182,7 @@ fn solver_output_is_invariant_across_pool_sizes() {
                 );
                 assert_eq!(rounds, base_rounds, "{tag}: round count diverged");
                 assert_eq!(bits, base_bits, "{tag}: total wire bits diverged");
+                assert_eq!(depth, base_depth, "{tag}: laggard chain diverged");
                 // The batch pipelines must preserve the sequential cache
                 // accounting exactly, not just the outputs.
                 assert_eq!(
@@ -177,10 +198,10 @@ fn solver_output_is_invariant_across_pool_sizes() {
 #[test]
 fn fast_and_reference_agree_at_every_pool_size() {
     for w in workloads() {
-        let (base, base_rounds, _) = solve(&w, &KernelConfig::default());
+        let (base, base_rounds, _, _) = solve(&w, &KernelConfig::default());
         for threads in [1usize, 2, 4, 8] {
             let cfg = KernelConfig::from(KernelMode::Reference).with_threads(threads);
-            let (out, rounds, _) = solve(&w, &cfg);
+            let (out, rounds, _, _) = solve(&w, &cfg);
             assert_eq!(
                 out.colors, base.colors,
                 "{} reference t={threads}: colors diverged from cached",

@@ -41,8 +41,15 @@ fn main() {
         seed: 31,
     };
     let mut net = Network::new(&g, Bandwidth::Local);
-    let (classes, orientation, report) =
-        solve_list_arbdefective(&mut net, q, &lists, &init, &cfg, &Theorem11Solver).unwrap();
+    let (classes, orientation, report) = solve_list_arbdefective(
+        &mut net,
+        q,
+        &lists,
+        &init,
+        &cfg,
+        &Theorem11Solver::default(),
+    )
+    .unwrap();
     validate_arbdefective(&g, &lists, &classes, &orientation).unwrap();
 
     // Report the decomposition quality.

@@ -9,7 +9,7 @@
 use ldc::core::colorspace::{OldcSolver, Theorem11Solver};
 use ldc::core::existence::solve_ldc;
 use ldc::core::validate::{validate_ldc, validate_oldc};
-use ldc::core::{ColorSpace, DefectList, LdcInstance, OldcCtx, ParamProfile};
+use ldc::core::{ColorSpace, DefectList, KernelStats, LdcInstance, OldcCtx, ParamProfile};
 use ldc::graph::{generators, DirectedView};
 use ldc::sim::{Bandwidth, Network};
 
@@ -62,8 +62,8 @@ fn main() {
         seed: 7,
     };
     let mut net = Network::new(&g, Bandwidth::Local);
-    let colors = Theorem11Solver
-        .solve(&mut net, &ctx, &oldc_lists)
+    let colors = Theorem11Solver::default()
+        .solve(&mut net, &ctx, &oldc_lists, &mut KernelStats::default())
         .expect("square-mass condition holds");
     let colors: Vec<u64> = colors.into_iter().map(|c| c.unwrap()).collect();
     validate_oldc(&view, &oldc_lists, &colors).expect("checker accepts");

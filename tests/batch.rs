@@ -59,9 +59,29 @@ fn mixed_jobs() -> Vec<JobSpec> {
 
 #[test]
 fn jsonl_stream_is_byte_identical_across_shard_counts() {
-    let jobs = mixed_jobs();
+    let mut jobs = mixed_jobs();
+    // Theorem 1.1 on a ring's (degree+1)-lists stalls in the laggard
+    // chain: a typed error row, not a panic that takes the fleet down.
+    jobs.push(JobSpec {
+        graph: GraphSource::Ring { n: 24 },
+        algorithm: Algorithm::LdcDistributed,
+        lists: ListSpec::default(),
+        seed: 1,
+        faults: None,
+    });
     let baseline = Fleet::new(1).run(&jobs);
-    assert_eq!(baseline.summary.ok, jobs.len() as u64, "all jobs solve");
+    assert_eq!(
+        baseline.summary.ok,
+        jobs.len() as u64 - 1,
+        "all other jobs solve"
+    );
+    let stalled = baseline.outcomes.last().expect("one outcome per job");
+    assert!(!stalled.ok);
+    assert!(
+        stalled.row.contains("\"status\":\"error\""),
+        "{}",
+        stalled.row
+    );
     for shards in [2, 3, 4, 64] {
         let run = Fleet::new(shards).run(&jobs);
         assert_eq!(

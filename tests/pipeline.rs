@@ -146,9 +146,15 @@ fn theorem_1_3_heterogeneous_defects_all_substrates() {
             seed: 13,
         };
         let mut net = Network::new(&g, Bandwidth::Local);
-        let (colors, orientation, _) =
-            solve_list_arbdefective(&mut net, space, &lists, &init, &cfg, &Theorem11Solver)
-                .unwrap_or_else(|e| panic!("{substrate:?}: {e}"));
+        let (colors, orientation, _) = solve_list_arbdefective(
+            &mut net,
+            space,
+            &lists,
+            &init,
+            &cfg,
+            &Theorem11Solver::default(),
+        )
+        .unwrap_or_else(|e| panic!("{substrate:?}: {e}"));
         validate_arbdefective(&g, &lists, &colors, &orientation)
             .unwrap_or_else(|e| panic!("{substrate:?}: {e}"));
     }
@@ -171,7 +177,7 @@ fn distributed_and_sequential_solvers_accept_the_same_instances() {
     validate_ldc(&g, &lists, &seq.colors).unwrap();
 
     use ldc::core::colorspace::OldcSolver;
-    use ldc::core::OldcCtx;
+    use ldc::core::{KernelStats, OldcCtx};
     use ldc::graph::DirectedView;
     let view = DirectedView::bidirected(&g);
     let init: Vec<u64> = g.nodes().map(u64::from).collect();
@@ -188,7 +194,9 @@ fn distributed_and_sequential_solvers_accept_the_same_instances() {
         seed: 2,
     };
     let mut net = Network::new(&g, Bandwidth::Local);
-    let dist = Theorem11Solver.solve(&mut net, &ctx, &lists).unwrap();
+    let dist = Theorem11Solver::default()
+        .solve(&mut net, &ctx, &lists, &mut KernelStats::default())
+        .unwrap();
     let dist: Vec<u64> = dist.into_iter().map(|c| c.unwrap()).collect();
     // Bidirected OLDC validity == undirected LDC validity.
     validate_ldc(&g, &lists, &dist).unwrap();

@@ -298,10 +298,7 @@ fn theorem11_engine_solves_conditioned_instances() {
             })
             .collect();
         let inst = OldcInstance::new(view, ColorSpace::new(space), lists);
-        let opts = SolveOptions {
-            seed,
-            ..SolveOptions::default()
-        };
+        let opts = SolveOptions::default().with_seed(seed);
         // `solve` validates internally before returning.
         let sol = inst.solve(&opts);
         assert!(sol.is_ok(), "{:?}", sol.err());
@@ -398,7 +395,7 @@ fn pre_partitioned_groups_solve_independently() {
     // engine must scope conflicts within groups, so colors may repeat
     // across groups even at defect 0.
     use ldc::core::colorspace::{OldcSolver, Theorem11Solver};
-    use ldc::core::{DefectList, OldcCtx, ParamProfile};
+    use ldc::core::{DefectList, KernelStats, OldcCtx, ParamProfile};
     use ldc::graph::DirectedView;
     use ldc::sim::{Bandwidth, Network};
 
@@ -422,7 +419,9 @@ fn pre_partitioned_groups_solve_independently() {
     };
     let lists: Vec<DefectList> = (0..16).map(|_| DefectList::uniform(0..1, 0)).collect();
     let mut net = Network::new(&g, Bandwidth::Local);
-    let colors = Theorem11Solver.solve(&mut net, &ctx, &lists).unwrap();
+    let colors = Theorem11Solver::default()
+        .solve(&mut net, &ctx, &lists, &mut KernelStats::default())
+        .unwrap();
     // Everyone gets color 0 — legal because all conflicts are cross-group.
     assert!(colors.iter().all(|c| *c == Some(0)));
 }
