@@ -16,9 +16,9 @@
 //!   job-index order, so the JSONL stream is byte-identical for every
 //!   shard count and completion order, and contains no wall-clock or
 //!   host-dependent fields. The same promise extends to every execution
-//!   knob: [`Fleet::with_exec`] (engine executor), [`Fleet::with_kernel_mode`]
-//!   (Fast vs Reference solver kernels), [`Fleet::with_solver_threads`],
-//!   and [`Fleet::with_shared_kernels`] all leave rows byte-identical —
+//!   knob: [`Fleet::with_kernel_mode`] (Fast vs Reference solver
+//!   kernels), [`Fleet::with_solver_threads`], and
+//!   [`Fleet::with_shared_kernels`] all leave rows byte-identical —
 //!   the soak harness (`ldc soak`, DESIGN.md §14) re-runs every scenario
 //!   across these knobs and byte-diffs the streams.
 //!

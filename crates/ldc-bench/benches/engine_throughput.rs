@@ -1,6 +1,6 @@
 //! Round-engine throughput bench: times `Network::exchange` hot-path
-//! workloads (sparse flood, dense clique, rings up to 5M nodes) across
-//! both executors and a thread sweep (t = 1/2/4/8, keyed `mode@tN`
+//! workloads (sparse flood, dense clique, rings up to 5M nodes): one
+//! serial row (one thread) and a pooled thread sweep (t = 1/2/4/8, keyed `mode@tN`
 //! like BENCH_solver.json), and writes `BENCH_engine.json` at the repo
 //! root, seeding the perf trajectory (`BENCH_*.json`).
 //!
@@ -18,7 +18,7 @@
 use ldc_graph::{generators, Graph};
 use ldc_sim::json::json_string;
 use ldc_sim::pool::default_threads;
-use ldc_sim::{Bandwidth, ExecMode, Network, Outbox};
+use ldc_sim::{Bandwidth, Network, Outbox};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -33,17 +33,11 @@ struct Case {
     node_steps_per_sec: f64,
 }
 
-/// Run `rounds` mixing rounds on `g` under `mode` with `threads` workers;
-/// returns wall seconds and the final states (for cross-mode byte-diffs).
-fn run_workload(
-    g: &Graph,
-    mode: ExecMode,
-    threads: usize,
-    threshold: usize,
-    rounds: usize,
-) -> (f64, Vec<u64>) {
+/// Run `rounds` mixing rounds on `g` with `threads` workers and the given
+/// parallel threshold; returns wall seconds and the final states (for
+/// cross-mode byte-diffs).
+fn run_workload(g: &Graph, threads: usize, threshold: usize, rounds: usize) -> (f64, Vec<u64>) {
     let mut net = Network::new(g, Bandwidth::Local);
-    net.set_exec_mode(mode);
     net.set_parallel_threshold(threshold);
     net.set_threads(threads);
     let mut states: Vec<u64> = g.nodes().map(u64::from).collect();
@@ -77,15 +71,15 @@ fn exchange_round(net: &mut Network<'_>, states: &mut [u64]) {
 }
 
 /// The bounded engine-scale smoke: million-node workloads, t = 1/2 sweep,
-/// byte-identical final states across every executor. Returns failures.
+/// byte-identical final states, serial vs pooled. Returns failures.
 fn scale_smoke() -> Vec<String> {
     let mut failures = Vec::new();
     // 1M-node ring, 3 rounds, pooled × thread sweep against serial.
     let ring_1m = generators::ring(1_000_000);
     println!("scale-smoke: ring_1m generated ({} nodes)", 1_000_000);
-    let (_, reference) = run_workload(&ring_1m, ExecMode::Sequential, 1, usize::MAX, 3);
+    let (_, reference) = run_workload(&ring_1m, 1, usize::MAX, 3);
     for threads in [1usize, 2] {
-        let (secs, states) = run_workload(&ring_1m, ExecMode::Pooled, threads, 0, 3);
+        let (secs, states) = run_workload(&ring_1m, threads, 0, 3);
         let verdict = if states == reference {
             "ok"
         } else {
@@ -96,13 +90,13 @@ fn scale_smoke() -> Vec<String> {
             failures.push(format!("ring_1m/pooled@t{threads}: states diverged"));
         }
     }
-    // 10M-node ring: one round per executor, still byte-identical. This is
+    // 10M-node ring: one serial and one pooled round, still byte-identical. This is
     // the memory-scaling probe — the streaming generator builds the CSR in
     // one pass and a round is ~20M slots.
     let ring_10m = generators::ring(10_000_000);
     println!("scale-smoke: ring_10m generated ({} nodes)", 10_000_000);
-    let (_, reference) = run_workload(&ring_10m, ExecMode::Sequential, 1, usize::MAX, 1);
-    let (secs, states) = run_workload(&ring_10m, ExecMode::Pooled, 2, 0, 1);
+    let (_, reference) = run_workload(&ring_10m, 1, usize::MAX, 1);
+    let (secs, states) = run_workload(&ring_10m, 2, 0, 1);
     let verdict = if states == reference {
         "ok"
     } else {
@@ -181,21 +175,20 @@ fn main() {
     // Serial is thread-independent (one row); the pooled executor sweeps
     // t = 1/2/4/8 — `t1` doubles as the overhead-neutrality baseline the
     // efficiency gate compares against.
-    let modes: Vec<(&'static str, ExecMode, usize, usize)> =
-        std::iter::once(("serial", ExecMode::Sequential, 1, usize::MAX))
-            .chain([1, 2, 4, 8].map(|t| ("pooled", ExecMode::Pooled, t, 0)))
-            .collect();
+    let modes: Vec<(&'static str, usize, usize)> = std::iter::once(("serial", 1, usize::MAX))
+        .chain([1, 2, 4, 8].map(|t| ("pooled", t, 0)))
+        .collect();
 
     let mut cases: Vec<Case> = Vec::new();
     for (wname, g, rounds, wsamples) in &workloads {
         let slots: usize = g.nodes().map(|v| g.degree(v)).sum();
-        let selected: Vec<(String, &'static str, ExecMode, usize, usize)> = modes
+        let selected: Vec<(String, &'static str, usize, usize)> = modes
             .iter()
-            .filter_map(|&(mname, mode, threads, threshold)| {
+            .filter_map(|&(mname, threads, threshold)| {
                 let full = format!("{wname}/{mname}@t{threads}");
                 match &filter {
                     Some(f) if !full.contains(f.as_str()) => None,
-                    _ => Some((full, mname, mode, threads, threshold)),
+                    _ => Some((full, mname, threads, threshold)),
                 }
             })
             .collect();
@@ -207,11 +200,11 @@ fn main() {
         // trustworthy as this pairing.
         let mut times: Vec<Vec<f64>> = vec![Vec::new(); selected.len()];
         for _ in 0..*wsamples {
-            for (i, &(_, _, mode, threads, threshold)) in selected.iter().enumerate() {
-                times[i].push(run_workload(g, mode, threads, threshold, *rounds).0);
+            for (i, &(_, _, threads, threshold)) in selected.iter().enumerate() {
+                times[i].push(run_workload(g, threads, threshold, *rounds).0);
             }
         }
-        for ((full, mname, _, threads, _), mut samples) in selected.into_iter().zip(times) {
+        for ((full, mname, threads, _), mut samples) in selected.into_iter().zip(times) {
             samples.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
             let median = samples[samples.len() / 2];
             let steps = (g.num_nodes() * rounds) as f64;

@@ -1,4 +1,4 @@
-//! OLDC solver throughput bench: times full `solve_oldc_cfg` runs under
+//! OLDC solver throughput bench: times full `solve_oldc` runs under
 //! `KernelMode::Fast` (type-keyed cache + packed kernels) against
 //! `KernelMode::Reference` (the pre-cache naive loops), sweeps the
 //! batched phases over worker-thread counts, and writes
@@ -31,7 +31,7 @@
 use ldc_bench::hit_pct;
 use ldc_bench::workloads::uniform_oldc_lists;
 use ldc_core::kernels::{KernelConfig, KernelMode};
-use ldc_core::oldc::solve_oldc_cfg;
+use ldc_core::oldc::solve_oldc;
 use ldc_core::oldc::OldcOutcome;
 use ldc_core::params::ParamProfile;
 use ldc_core::problem::DefectList;
@@ -159,7 +159,7 @@ fn run_solve(w: &Workload, cfg: &KernelConfig) -> (OldcOutcome, u64, f64) {
     };
     let mut net = Network::new(&w.graph, Bandwidth::Local);
     let t0 = Instant::now();
-    let out = solve_oldc_cfg(&mut net, &ctx, &w.lists, cfg).expect("workload must be solvable");
+    let out = solve_oldc(&mut net, &ctx, &w.lists, cfg).expect("workload must be solvable");
     let secs = t0.elapsed().as_secs_f64();
     (out, net.rounds() as u64, secs)
 }

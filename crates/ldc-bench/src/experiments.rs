@@ -29,7 +29,7 @@ use ldc_core::single_defect::solve_single_defect;
 use ldc_core::validate::{
     validate_arbdefective, validate_ldc, validate_oldc, validate_proper_list_coloring,
 };
-use ldc_core::{KernelStats, SolveOptions};
+use ldc_core::{KernelConfig, KernelStats, SolveOptions};
 use ldc_graph::{generators, DirectedView, ProperColoring};
 use ldc_sim::{Bandwidth, FaultPlan, Network, RetryPolicy, SpanNode, Tracer};
 
@@ -202,7 +202,7 @@ pub fn e2_theorem11_rounds(quick: bool, traces: &mut Vec<SpanNode>) -> Table {
         let tracer = Tracer::new();
         let mut net = Network::new(&g, Bandwidth::Local);
         net.set_tracer(tracer.clone());
-        let out = solve_oldc(&mut net, &ctx, &lists).unwrap();
+        let out = solve_oldc(&mut net, &ctx, &lists, &KernelConfig::default()).unwrap();
         let colors: Vec<u64> = out.colors.iter().map(|c| c.unwrap()).collect();
         let valid = validate_oldc(&view, &lists, &colors).is_ok();
         let log2b = (d as f64).log2();
@@ -265,7 +265,8 @@ pub fn e3_lemma36_vs_theorem11(quick: bool) -> Table {
             let ctx = owner.ctx(&view, space, profile, 11);
             let mut net = Network::new(&g, Bandwidth::Local);
             let (rounds, bits, ok) = if name == "Lemma 3.6" {
-                let out = solve_multi_defect(&mut net, &ctx, &lists, 0).unwrap();
+                let out = solve_multi_defect(&mut net, &ctx, &lists, 0, &KernelConfig::default())
+                    .unwrap();
                 let colors: Vec<u64> = out.inner.colors.iter().map(|c| c.unwrap()).collect();
                 (
                     net.rounds(),
@@ -273,7 +274,7 @@ pub fn e3_lemma36_vs_theorem11(quick: bool) -> Table {
                     validate_oldc(&view, &lists, &colors).is_ok(),
                 )
             } else {
-                let out = solve_oldc(&mut net, &ctx, &lists).unwrap();
+                let out = solve_oldc(&mut net, &ctx, &lists, &KernelConfig::default()).unwrap();
                 let colors: Vec<u64> = out.colors.iter().map(|c| c.unwrap()).collect();
                 (
                     net.rounds(),
@@ -708,7 +709,14 @@ pub fn e8_slack_transition(quick: bool) -> Table {
         for &seed in &seeds {
             let ctx = owner.ctx(&view, space, profile, seed);
             let mut net = Network::new(&g, Bandwidth::Local);
-            if let Ok(out) = solve_single_defect(&mut net, &ctx, &lists_v, &defects, 0) {
+            if let Ok(out) = solve_single_defect(
+                &mut net,
+                &ctx,
+                &lists_v,
+                &defects,
+                0,
+                &KernelConfig::default(),
+            ) {
                 solved += 1;
                 retries += out.selection_retries;
                 rounds += net.rounds();
@@ -743,19 +751,13 @@ pub fn e9_simulator_throughput(quick: bool) -> Table {
     };
     for n in ns {
         let g = generators::gnp(n, 8.0 / n as f64, 31);
-        for (mode, threshold, exec, trace) in [
-            ("serial", usize::MAX, ldc_sim::ExecMode::Sequential, false),
-            ("pooled", 0usize, ldc_sim::ExecMode::Pooled, false),
-            (
-                "serial+trace",
-                usize::MAX,
-                ldc_sim::ExecMode::Sequential,
-                true,
-            ),
+        for (mode, threshold, trace) in [
+            ("serial", usize::MAX, false),
+            ("pooled", 0usize, false),
+            ("serial+trace", usize::MAX, true),
         ] {
             let mut net = Network::new(&g, Bandwidth::Local);
             net.set_parallel_threshold(threshold);
-            net.set_exec_mode(exec);
             net.set_threads(ldc_sim::pool::default_threads().max(2));
             let tracer = if trace {
                 Tracer::new()

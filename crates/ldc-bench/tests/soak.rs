@@ -12,7 +12,7 @@ use ldc_bench::soak::{
 /// A smoke-tier scenario with `Expect::Solve`, so the `WrongColor`
 /// sabotage (which flips a `valid` flag) is visible to the validity
 /// checker. Fail-closed cells tolerate flagged-invalid outcomes.
-const SOLVE_SCENARIO: &str = "ring48-oldc-none-po1";
+const SOLVE_SCENARIO: &str = "ring48-oldc-none-t1";
 
 fn sabotaged(sabotage: Sabotage) -> ldc_bench::soak::SoakReport {
     let cfg = SoakConfig {

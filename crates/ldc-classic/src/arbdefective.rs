@@ -20,6 +20,7 @@
 //! which uses this substrate only at the base of its recursion.
 
 use crate::linial::defective_coloring;
+use crate::ClassicError;
 use ldc_graph::orientation::EdgeDir;
 use ldc_graph::{Graph, Orientation, ProperColoring};
 use ldc_sim::{Network, SimError};
@@ -95,7 +96,7 @@ pub fn sequential_arbdefective(
     initial: Option<&ProperColoring>,
     d: u64,
     q: u64,
-) -> Result<ArbdefectiveColoring, SimError> {
+) -> Result<ArbdefectiveColoring, ClassicError> {
     let g = net.graph();
     let delta = g.max_degree() as u64;
     let min_q = ArbdefectiveColoring::min_buckets(delta, d);

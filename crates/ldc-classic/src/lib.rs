@@ -32,3 +32,35 @@ pub mod reduction;
 pub use arbdefective::{randomized_arbdefective, sequential_arbdefective, ArbdefectiveColoring};
 pub use hpartition::{h_partition, HPartition};
 pub use linial::{defective_coloring, linial_coloring, DefectiveColoring};
+
+use ldc_graph::coloring::ColoringError;
+use ldc_sim::SimError;
+
+/// Failures of the classic color reductions.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ClassicError {
+    /// Underlying simulator failure (CONGEST budget exceeded, …).
+    Sim(SimError),
+    /// A reduction that keeps a coloring proper on a flawless network
+    /// ended with (or ran into) an improper one: a fault plan lost a
+    /// color announcement the reduction relied on, or froze a node on a
+    /// color from an earlier palette.
+    Improper(ColoringError),
+}
+
+impl From<SimError> for ClassicError {
+    fn from(e: SimError) -> Self {
+        ClassicError::Sim(e)
+    }
+}
+
+impl std::fmt::Display for ClassicError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ClassicError::Sim(e) => write!(f, "simulation error: {e}"),
+            ClassicError::Improper(e) => write!(f, "color reduction lost properness: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for ClassicError {}

@@ -8,8 +8,10 @@
 //! yields a `d`-defective coloring with `O((Δ/(d+1))² )`-ish colors.
 
 use crate::coverfree::PolyScheme;
+use crate::ClassicError;
+use ldc_graph::coloring::ColoringError;
 use ldc_graph::{Graph, ProperColoring};
-use ldc_sim::{Network, SimError};
+use ldc_sim::Network;
 
 /// Output of [`defective_coloring`]: colors in `0..palette` such that every
 /// node has at most `defect` same-colored neighbors.
@@ -56,33 +58,70 @@ impl DefectiveColoring {
 #[derive(Clone)]
 struct NodeState {
     color: u64,
+    /// Why this round's input was not a proper coloring around this node
+    /// (a fault plan lost an announcement or froze a node earlier).
+    broken: Option<ColoringError>,
 }
 
 /// One reduction round on the network: all nodes broadcast their color and
-/// apply `scheme.reduce` with defect budget `d`.
+/// apply `scheme.reduce` with defect budget `d`. The reduction's guarantee
+/// needs a proper `scheme.m`-coloring as input, so a node that sees its
+/// own color repeated or a color outside `0..scheme.m` keeps its color
+/// instead, and the round fails with what it saw.
 fn reduction_round(
     net: &mut Network<'_>,
     states: &mut [NodeState],
     scheme: PolyScheme,
     d: u64,
-) -> Result<(), SimError> {
+) -> Result<(), ClassicError> {
+    let g = net.graph();
+    let m = scheme.m;
     net.broadcast_exchange(
         states,
         |_, s| Some(s.color),
-        |_, s, inbox| {
-            let neighbor_colors: Vec<u64> = inbox.iter().map(|(_, &m)| m).collect();
-            s.color = scheme.reduce(s.color, &neighbor_colors, d);
+        |v, s, inbox| {
+            let bad = inbox.iter().find(|&(_, &c)| c == s.color || c >= m);
+            s.broken = match bad {
+                _ if s.color >= m => Some(ColoringError::ColorOutOfPalette {
+                    node: v,
+                    color: s.color,
+                    m,
+                }),
+                Some((port, &color)) if color == s.color => Some(ColoringError::Monochromatic {
+                    u: v,
+                    v: g.neighbors(v)[port],
+                    color,
+                }),
+                Some((port, &color)) => Some(ColoringError::ColorOutOfPalette {
+                    node: g.neighbors(v)[port],
+                    color,
+                    m,
+                }),
+                None => {
+                    let neighbor_colors: Vec<u64> = inbox.iter().map(|(_, &c)| c).collect();
+                    s.color = scheme.reduce(s.color, &neighbor_colors, d);
+                    None
+                }
+            };
         },
-    )
+    )?;
+    match states.iter().find_map(|s| s.broken.clone()) {
+        Some(e) => Err(ClassicError::Improper(e)),
+        None => Ok(()),
+    }
 }
 
 /// Linial's algorithm: a proper `O(Δ² log Δ)`-coloring in `O(log* m₀)`
 /// rounds, starting from the proper `m₀`-coloring `initial` (defaults to
 /// the id coloring when `None`).
+///
+/// On a faulty network a lost color announcement or a sleeping node can
+/// break properness; that is reported as [`ClassicError::Improper`],
+/// never a panic.
 pub fn linial_coloring(
     net: &mut Network<'_>,
     initial: Option<&ProperColoring>,
-) -> Result<ProperColoring, SimError> {
+) -> Result<ProperColoring, ClassicError> {
     let g = net.graph();
     let delta = g.max_degree() as u64;
     let fallback = ProperColoring::by_id(g);
@@ -91,6 +130,7 @@ pub fn linial_coloring(
         .nodes()
         .map(|v| NodeState {
             color: init.color(v),
+            broken: None,
         })
         .collect();
     let mut m = init.palette_size();
@@ -99,7 +139,7 @@ pub fn linial_coloring(
         m = scheme.output_palette();
     }
     let colors: Vec<u64> = states.into_iter().map(|s| s.color).collect();
-    Ok(ProperColoring::new(g, colors, m).expect("reduction preserves properness"))
+    ProperColoring::new(g, colors, m).map_err(ClassicError::Improper)
 }
 
 /// Kuhn's defective coloring: from a proper `m`-coloring, one extra round
@@ -111,7 +151,7 @@ pub fn defective_coloring(
     net: &mut Network<'_>,
     initial: Option<&ProperColoring>,
     d: u64,
-) -> Result<DefectiveColoring, SimError> {
+) -> Result<DefectiveColoring, ClassicError> {
     let g = net.graph();
     let delta = g.max_degree() as u64;
     let proper = linial_coloring(net, initial)?;
@@ -120,6 +160,7 @@ pub fn defective_coloring(
         .nodes()
         .map(|v| NodeState {
             color: proper.color(v),
+            broken: None,
         })
         .collect();
     let (palette, used_defective_step) = match PolyScheme::choose(m, delta, d) {

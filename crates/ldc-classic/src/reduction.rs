@@ -5,6 +5,7 @@
 //! `O(Δ² + log* n)`-round `(Δ+1)`-coloring \[Lin87, GPS88\] that serves as
 //! the simplest deterministic baseline in experiment E6.
 
+use crate::ClassicError;
 use ldc_graph::ProperColoring;
 use ldc_sim::{Network, SimError};
 
@@ -22,7 +23,7 @@ struct NodeState {
 pub fn reduce_to_delta_plus_one(
     net: &mut Network<'_>,
     initial: &ProperColoring,
-) -> Result<ProperColoring, SimError> {
+) -> Result<ProperColoring, ClassicError> {
     let g = net.graph();
     let delta = g.max_degree() as u64;
     let m = initial.palette_size();
@@ -78,7 +79,7 @@ pub fn reduce_to_delta_plus_one(
     }
 
     let colors = states.into_iter().map(|s| s.color).collect();
-    Ok(ProperColoring::new(g, colors, delta + 1).expect("reduction keeps coloring proper"))
+    ProperColoring::new(g, colors, delta + 1).map_err(ClassicError::Improper)
 }
 
 /// Kuhn–Wattenhofer divide-and-conquer color reduction \[KW06\]: reduce a
@@ -93,7 +94,7 @@ pub fn reduce_to_delta_plus_one(
 pub fn kw_reduce_to_delta_plus_one(
     net: &mut Network<'_>,
     initial: &ProperColoring,
-) -> Result<ProperColoring, SimError> {
+) -> Result<ProperColoring, ClassicError> {
     let g = net.graph();
     let delta = g.max_degree() as u64;
     let target = delta + 1;
@@ -194,7 +195,7 @@ pub fn kw_reduce_to_delta_plus_one(
     }
 
     let colors: Vec<u64> = states.iter().map(|s| s.color).collect();
-    Ok(ProperColoring::new(g, colors, target).expect("KW reduction keeps coloring proper"))
+    ProperColoring::new(g, colors, target).map_err(ClassicError::Improper)
 }
 
 /// CONGEST-compatible `(degree+1)`-*list* coloring by iterating the color

@@ -6,11 +6,12 @@
 //! [`SolveOptions`] is the *unified* options surface: besides the
 //! algorithmic knobs (bandwidth, profile, seed) it carries the execution
 //! environment — a phase-span [`Tracer`], an optional fault environment
-//! ([`FaultEnv`]: plan + round-retry policy), and an optional engine
-//! [`ExecMode`] override — attached builder-style with
+//! ([`FaultEnv`]: plan + round-retry policy), and the kernel
+//! configuration — attached builder-style with
 //! [`SolveOptions::with_trace`] / [`SolveOptions::with_faults`] /
-//! [`SolveOptions::with_exec`]. Every solver entry point takes one
-//! `&SolveOptions`; there are no `_traced` / `_faulted` variants.
+//! [`SolveOptions::with_kernel_mode`] and friends. Every solver entry
+//! point takes one `&SolveOptions`; there are no `_traced` / `_faulted`
+//! variants.
 //!
 //! The [`Resilient`] wrapper runs the same solvers on a *faulty* network:
 //! transient round failures are absorbed by the engine's retry loop, and a
@@ -24,12 +25,12 @@ use crate::colorspace::Theorem11Solver;
 use crate::ctx::{CoreError, OldcCtx};
 use crate::existence;
 use crate::kernels::{KernelConfig, KernelMode, KernelStats, SharedTypeCache};
-use crate::oldc::solve_oldc_cfg;
+use crate::oldc::solve_oldc;
 use crate::params::{practical_kappa, ParamProfile};
 use crate::problem::{Color, LdcInstance, OldcInstance};
 use crate::validate;
 use ldc_graph::{Orientation, ProperColoring};
-use ldc_sim::{Bandwidth, ExecMode, FaultPlan, Metrics, Network, RetryPolicy, Tracer};
+use ldc_sim::{Bandwidth, FaultPlan, Metrics, Network, RetryPolicy, Tracer};
 use std::sync::Arc;
 
 /// A fault environment: the seeded plan driving the fault draws plus the
@@ -43,7 +44,7 @@ pub struct FaultEnv {
 }
 
 /// Options shared by the high-level solvers: the algorithmic knobs plus
-/// the execution environment (tracer, faults, exec mode). Build with the
+/// the execution environment (tracer, faults, kernels). Build with the
 /// `with_*` methods; the default is a flawless untraced network.
 #[derive(Debug, Clone)]
 pub struct SolveOptions {
@@ -58,8 +59,6 @@ pub struct SolveOptions {
     pub tracer: Tracer,
     /// Fault environment for the solver's main network (`None` = flawless).
     pub faults: Option<FaultEnv>,
-    /// Engine execution-mode override (`None` = engine default).
-    pub exec: Option<ExecMode>,
     /// How every Theorem 1.1 solve runs its kernels (fast, sequential,
     /// private cache by default). Colors, rounds, and bits are
     /// byte-identical under every configuration (DESIGN.md §13); set it
@@ -76,25 +75,12 @@ impl Default for SolveOptions {
             seed: 0x1dc,
             tracer: Tracer::disabled(),
             faults: None,
-            exec: None,
             kernels: KernelConfig::default(),
         }
     }
 }
 
 impl SolveOptions {
-    /// Replace the bandwidth regime.
-    pub fn with_bandwidth(mut self, bandwidth: Bandwidth) -> Self {
-        self.bandwidth = bandwidth;
-        self
-    }
-
-    /// Replace the parameter profile.
-    pub fn with_profile(mut self, profile: ParamProfile) -> Self {
-        self.profile = profile;
-        self
-    }
-
     /// Replace the selection seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -110,12 +96,6 @@ impl SolveOptions {
     /// Attach a fault environment (plan + round-retry policy).
     pub fn with_faults(mut self, plan: FaultPlan, retry: RetryPolicy) -> Self {
         self.faults = Some(FaultEnv { plan, retry });
-        self
-    }
-
-    /// Override the engine execution mode.
-    pub fn with_exec(mut self, exec: ExecMode) -> Self {
-        self.exec = Some(exec);
         self
     }
 
@@ -144,16 +124,13 @@ impl SolveOptions {
     }
 
     /// Attach the execution environment these options carry — tracer,
-    /// fault plan + retry policy, exec mode — to `net`. Bandwidth is a
+    /// fault plan + retry policy — to `net`. Bandwidth is a
     /// construction-time property of the network and is not touched.
     pub fn configure(&self, net: &mut Network<'_>) {
         net.set_tracer(self.tracer.clone());
         if let Some(env) = &self.faults {
             net.set_fault_plan(env.plan.clone());
             net.set_retry_policy(env.retry);
-        }
-        if let Some(mode) = self.exec {
-            net.set_exec_mode(mode);
         }
     }
 }
@@ -251,7 +228,7 @@ impl<'g> OldcInstance<'g> {
     /// Solve this oriented list defective coloring instance with the
     /// algorithm of Theorem 1.1. The output is checked by
     /// [`validate::validate_oldc`] before it is returned. The execution
-    /// environment (tracer, faults, exec mode) comes from `opts`.
+    /// environment (tracer, faults, kernels) comes from `opts`.
     pub fn solve(&self, opts: &SolveOptions) -> Result<Solution, CoreError> {
         self.attempt(opts).result
     }
@@ -278,7 +255,7 @@ impl<'g> OldcInstance<'g> {
         let mut net = Network::new(g, opts.bandwidth);
         opts.configure(&mut net);
         let result = (|| {
-            let out = solve_oldc_cfg(&mut net, &ctx, &self.lists, &opts.kernels)?;
+            let out = solve_oldc(&mut net, &ctx, &self.lists, &opts.kernels)?;
             let kernels = out.stats.kernels;
             let colors: Vec<Color> = out
                 .colors
@@ -347,7 +324,7 @@ impl<'g> LdcInstance<'g> {
     /// Solve as a **list arbdefective** instance with Theorem 1.3
     /// (requires only the linear condition Σ(d+1) > deg); returns the
     /// witnessing orientation. The execution environment of `opts` —
-    /// tracer, fault plan + retries, exec mode — rides on the main
+    /// tracer, fault plan + retries — rides on the main
     /// network (substrate sub-networks stay fault-free, as in
     /// [`crate::congest::congest_degree_plus_one`]).
     pub fn solve_arbdefective(&self, opts: &SolveOptions) -> Result<Solution, CoreError> {

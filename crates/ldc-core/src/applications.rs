@@ -11,6 +11,7 @@
 use crate::arbdefective::{solve_list_arbdefective, ArbConfig, Substrate};
 use crate::colorspace::Theorem11Solver;
 use crate::ctx::{CoreError, OldcCtx};
+use crate::kernels::KernelConfig;
 use crate::multi_defect::solve_multi_defect;
 use crate::params::{practical_kappa, ParamProfile};
 use crate::problem::DefectList;
@@ -47,7 +48,7 @@ pub fn defective_coloring_via_ldc(
         profile,
         seed,
     };
-    let out = solve_multi_defect(net, &ctx, &lists, 0)?;
+    let out = solve_multi_defect(net, &ctx, &lists, 0, &KernelConfig::default())?;
     Ok(out
         .inner
         .colors

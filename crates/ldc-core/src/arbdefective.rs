@@ -459,8 +459,7 @@ fn arbdefective_substrate<S: OldcSolver>(
             let _s = tracer.span(span::SEQ_ARBDEFECTIVE);
             let q =
                 ldc_classic::ArbdefectiveColoring::min_buckets(sub.max_degree() as u64, delta_arb);
-            let a = ldc_classic::sequential_arbdefective(&mut sub_net, Some(&init), delta_arb, q)
-                .map_err(CoreError::Sim)?;
+            let a = ldc_classic::sequential_arbdefective(&mut sub_net, Some(&init), delta_arb, q)?;
             let o = a.orientation.clone();
             let stats = SubStats::of(&sub_net);
             Ok((a, o, stats))

@@ -16,7 +16,7 @@
 
 use crate::ctx::{span as spans, CoreError, OldcCtx};
 use crate::kernels::{KernelConfig, KernelStats};
-use crate::oldc::solve_oldc_cfg;
+use crate::oldc::solve_oldc;
 use crate::problem::{Color, DefectList};
 use ldc_sim::Network;
 
@@ -56,7 +56,7 @@ impl OldcSolver for Theorem11Solver {
         lists: &[DefectList],
         kernels: &mut KernelStats,
     ) -> Result<Vec<Option<Color>>, CoreError> {
-        let out = solve_oldc_cfg(net, ctx, lists, &self.kernels)?;
+        let out = solve_oldc(net, ctx, lists, &self.kernels)?;
         kernels.absorb(&out.stats.kernels);
         Ok(out.colors)
     }
@@ -354,7 +354,9 @@ mod tests {
         let lists = uniform_oldc_lists(n, space, 46656, 3);
 
         let mut net_direct = Network::new(&g, Bandwidth::Local);
-        let direct = crate::oldc::solve_oldc(&mut net_direct, &ctx, &lists).unwrap();
+        let direct =
+            crate::oldc::solve_oldc(&mut net_direct, &ctx, &lists, &KernelConfig::default())
+                .unwrap();
         let direct_colors: Vec<u64> = direct.colors.iter().map(|c| c.unwrap()).collect();
         assert_eq!(validate_oldc(&view, &lists, &direct_colors), Ok(()));
 

@@ -79,8 +79,8 @@ impl CongestReport {
 /// define *which computation runs* (CONGEST budget, constant profile,
 /// selection seed, branch/substrate choice) and therefore pins the
 /// checked-in experiment numbers; `SolveOptions` carries only the
-/// *execution environment* (tracer, fault plan + retries, exec mode,
-/// kernel configuration).
+/// *execution environment* (tracer, fault plan + retries, kernel
+/// configuration).
 /// This entry point ignores `SolveOptions::bandwidth` / `profile` /
 /// `seed` — those live here.
 #[derive(Debug, Clone, Copy)]
@@ -148,8 +148,7 @@ impl OldcSolver for ReducedTheorem11 {
 /// the span tree accounts for *all* rounds of the pipeline), its
 /// [`crate::api::FaultEnv`] — if any — attaches to the *main* network
 /// only (the fault model targets the long-lived communication graph, not
-/// the solver's internal scratch instances), its [`ldc_sim::ExecMode`]
-/// override applies to the main network, and its kernel configuration
+/// the solver's internal scratch instances), and its kernel configuration
 /// runs every Theorem 1.1 solve of the pipeline. See [`CongestConfig`]
 /// for which knobs live where.
 ///
@@ -191,7 +190,7 @@ pub fn congest_degree_plus_one(
     // Step 1: Linial's O(Δ²)-coloring in O(log* n) rounds.
     let init = {
         let _linial = tracer.span(span::LINIAL_INIT);
-        ldc_classic::linial_coloring(&mut net, None).map_err(CoreError::Sim)?
+        ldc_classic::linial_coloring(&mut net, None)?
     };
 
     // Branch rule: the √Δ pipeline is the paper's contribution for

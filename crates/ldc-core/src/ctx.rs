@@ -3,6 +3,8 @@
 //! types, and the wire messages with their canonical bit costs.
 
 use crate::problem::Color;
+use ldc_classic::ClassicError;
+use ldc_graph::coloring::ColoringError;
 use ldc_graph::{DirectedView, NodeId};
 use ldc_sim::{bits_for_value, MessageSize, SimError};
 use std::sync::Arc;
@@ -114,32 +116,6 @@ pub struct OldcCtx<'a, 'g> {
     pub seed: u64,
 }
 
-impl<'a, 'g> OldcCtx<'a, 'g> {
-    /// Context over the whole node set in one group.
-    #[allow(clippy::too_many_arguments)]
-    pub fn whole_graph(
-        view: &'a DirectedView<'g>,
-        space: u64,
-        init: &'a [u64],
-        m: u64,
-        all_active: &'a [bool],
-        one_group: &'a [u64],
-        profile: crate::params::ParamProfile,
-        seed: u64,
-    ) -> Self {
-        OldcCtx {
-            view,
-            space,
-            init,
-            m,
-            active: all_active,
-            group: one_group,
-            profile,
-            seed,
-        }
-    }
-}
-
 /// Failures of the distributed algorithms.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CoreError {
@@ -168,11 +144,24 @@ pub enum CoreError {
     },
     /// Underlying simulator failure (CONGEST budget exceeded, …).
     Sim(SimError),
+    /// A classic color reduction (Linial's initialization, the
+    /// arbdefective substrate) lost properness under a fault plan (see
+    /// [`ldc_classic::ClassicError::Improper`]).
+    Improper(ColoringError),
 }
 
 impl From<SimError> for CoreError {
     fn from(e: SimError) -> Self {
         CoreError::Sim(e)
+    }
+}
+
+impl From<ClassicError> for CoreError {
+    fn from(e: ClassicError) -> Self {
+        match e {
+            ClassicError::Sim(e) => CoreError::Sim(e),
+            ClassicError::Improper(e) => CoreError::Improper(e),
+        }
     }
 }
 
@@ -190,6 +179,7 @@ impl std::fmt::Display for CoreError {
                 "node {node} found no color within budget (best frequency {best} > {budget})"
             ),
             CoreError::Sim(e) => write!(f, "simulation error: {e}"),
+            CoreError::Improper(e) => write!(f, "color reduction lost properness: {e}"),
         }
     }
 }

@@ -46,6 +46,6 @@ pub mod validate;
 
 pub use api::{FaultEnv, FaultStats, Resilient, ResilientReport, Solution, SolveOptions};
 pub use ctx::{CoreError, OldcCtx};
-pub use kernels::{KernelMode, KernelStats};
+pub use kernels::{KernelConfig, KernelMode, KernelStats};
 pub use params::ParamProfile;
 pub use problem::{Color, ColorSpace, DefectList, LdcInstance, OldcInstance};

@@ -10,7 +10,7 @@
 use crate::ctx::{span, CoreError, OldcCtx};
 use crate::kernels::KernelConfig;
 use crate::problem::{Color, DefectList};
-use crate::single_defect::{solve_single_defect_cfg, SingleDefectOutcome};
+use crate::single_defect::{solve_single_defect, SingleDefectOutcome};
 use ldc_sim::Network;
 
 /// Round `x` down to a power of two (`x ≥ 1`).
@@ -44,19 +44,9 @@ pub struct MultiDefectOutcome {
 /// Lemma 3.6: solve an OLDC instance with per-color defects and color
 /// distance `g`. For each active node the algorithm guarantees at most
 /// `d_v(x_v)` active same-group out-neighbors within distance `g` of the
-/// chosen color `x_v`.
-pub fn solve_multi_defect(
-    net: &mut Network<'_>,
-    ctx: &OldcCtx<'_, '_>,
-    lists: &[DefectList],
-    g: u64,
-) -> Result<MultiDefectOutcome, CoreError> {
-    solve_multi_defect_cfg(net, ctx, lists, g, &KernelConfig::default())
-}
-
-/// [`solve_multi_defect`] with a full [`KernelConfig`] for the underlying
+/// chosen color `x_v`. `cfg` configures the kernels of the underlying
 /// §3.2 engine (the bucket choice itself is kernel-free).
-pub fn solve_multi_defect_cfg(
+pub fn solve_multi_defect(
     net: &mut Network<'_>,
     ctx: &OldcCtx<'_, '_>,
     lists: &[DefectList],
@@ -154,7 +144,7 @@ pub fn solve_multi_defect_cfg(
         };
     }
 
-    let inner = solve_single_defect_cfg(net, ctx, &sub_lists, &sub_defects, g, cfg)?;
+    let inner = solve_single_defect(net, ctx, &sub_lists, &sub_defects, g, cfg)?;
     Ok(MultiDefectOutcome {
         inner,
         chosen_defect: sub_defects,
@@ -235,7 +225,7 @@ mod tests {
             seed: 12,
         };
         let mut net = Network::new(&g, Bandwidth::Local);
-        let out = solve_multi_defect(&mut net, &ctx, &lists, 0).unwrap();
+        let out = solve_multi_defect(&mut net, &ctx, &lists, 0, &KernelConfig::default()).unwrap();
         let colors: Vec<u64> = out.inner.colors.iter().map(|c| c.unwrap()).collect();
         assert_eq!(validate_oldc(&view, &lists, &colors), Ok(()));
         // The chosen (rounded) defect never exceeds the original defect of
@@ -266,7 +256,7 @@ mod tests {
             seed: 4,
         };
         let mut net = Network::new(&g, Bandwidth::Local);
-        let out = solve_multi_defect(&mut net, &ctx, &lists, 0).unwrap();
+        let out = solve_multi_defect(&mut net, &ctx, &lists, 0, &KernelConfig::default()).unwrap();
         let colors: Vec<u64> = out.inner.colors.iter().map(|c| c.unwrap()).collect();
         assert_eq!(validate_oldc(&view, &lists, &colors), Ok(()));
     }
@@ -303,7 +293,7 @@ mod tests {
             seed: 8,
         };
         let mut net = Network::new(&g, Bandwidth::Local);
-        let out = solve_multi_defect(&mut net, &ctx, &lists, 1).unwrap();
+        let out = solve_multi_defect(&mut net, &ctx, &lists, 1, &KernelConfig::default()).unwrap();
         let colors: Vec<u64> = out.inner.colors.iter().map(|c| c.unwrap()).collect();
         for v in g.nodes() {
             let close = g

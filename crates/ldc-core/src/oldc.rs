@@ -23,7 +23,7 @@
 use crate::cover::SeededSubset;
 use crate::ctx::{span, CandidateMsg, CensusMsg, CoreError, DecisionMsg, OldcCtx};
 use crate::kernels::{DecisionBatch, KernelConfig, KernelStats, ListPair, SelectReq, TypeCache};
-use crate::multi_defect::solve_multi_defect_cfg;
+use crate::multi_defect::solve_multi_defect;
 use crate::params::k_of_class;
 use crate::problem::{Color, DefectList};
 use ldc_graph::NodeId;
@@ -88,23 +88,15 @@ struct Ns {
 ///
 /// Guarantee per active node `v` with color `x_v`: at most `defect_v`
 /// active same-group out-neighbors share `x_v`.
+///
+/// `cfg` sets the kernel mode, worker threads for the batched selection /
+/// verification / decision phases, the interned-list bound, and an
+/// optional fleet-shared cache. Colors, stats (minus the cache counters
+/// across modes and the scheduling-dependent shared-hit split), rounds,
+/// and message bits are byte-identical across every configuration — the
+/// batches gather in node order, compute pure kernel functions in
+/// parallel, and publish in node order.
 pub fn solve_with_classes(
-    net: &mut Network<'_>,
-    ctx: &OldcCtx<'_, '_>,
-    inputs: &[ClassedInput],
-) -> Result<(Vec<Option<Color>>, OldcStats), CoreError> {
-    solve_with_classes_cfg(net, ctx, inputs, &KernelConfig::default())
-}
-
-/// [`solve_with_classes`] with a full [`KernelConfig`]: kernel mode,
-/// worker threads for the batched selection / verification / decision
-/// phases, the interned-list bound, and an optional fleet-shared cache.
-/// Colors, stats (minus the cache counters across modes and the
-/// scheduling-dependent shared-hit split), rounds, and message bits are
-/// byte-identical across every configuration — the batches gather in
-/// node order, compute pure kernel functions in parallel, and publish in
-/// node order.
-pub fn solve_with_classes_cfg(
     net: &mut Network<'_>,
     ctx: &OldcCtx<'_, '_>,
     inputs: &[ClassedInput],
@@ -702,18 +694,11 @@ pub struct OldcOutcome {
 
 /// Lemma 3.8 / **Theorem 1.1**: solve a multi-defect OLDC instance
 /// (`g = 0`) whose lists satisfy (the profile-scaled form of) Eq. (6).
+///
+/// `cfg` is threaded through the auxiliary Lemma 3.6 instance and the
+/// Lemma 3.7 engine alike. Outputs are byte-identical across kernel
+/// modes, thread counts and shared-cache settings.
 pub fn solve_oldc(
-    net: &mut Network<'_>,
-    ctx: &OldcCtx<'_, '_>,
-    lists: &[DefectList],
-) -> Result<OldcOutcome, CoreError> {
-    solve_oldc_cfg(net, ctx, lists, &KernelConfig::default())
-}
-
-/// [`solve_oldc`] with a full [`KernelConfig`] (threaded through the
-/// auxiliary Lemma 3.6 instance and the Lemma 3.7 engine alike). Outputs
-/// are byte-identical across thread counts and shared-cache settings.
-pub fn solve_oldc_cfg(
     net: &mut Network<'_>,
     ctx: &OldcCtx<'_, '_>,
     lists: &[DefectList],
@@ -881,7 +866,7 @@ pub fn solve_oldc_cfg(
     };
     let aux = {
         let _aux_span = tracer.span(span::AUX_CLASSES);
-        solve_multi_defect_cfg(net, &aux_ctx, &aux_lists, g_aux, cfg)?
+        solve_multi_defect(net, &aux_ctx, &aux_lists, g_aux, cfg)?
     };
 
     // Build Lemma 3.7 inputs from the class assignment.
@@ -908,7 +893,7 @@ pub fn solve_oldc_cfg(
         };
     }
 
-    let (colors, mut stats) = solve_with_classes_cfg(net, ctx, &inputs, cfg)?;
+    let (colors, mut stats) = solve_with_classes(net, ctx, &inputs, cfg)?;
     stats.kernels.absorb(&aux.inner.kernels);
     Ok(OldcOutcome {
         colors,
@@ -975,7 +960,8 @@ mod tests {
             })
             .collect();
         let mut net = Network::new(&g, Bandwidth::Local);
-        let (colors, _) = solve_with_classes(&mut net, &ctx, &inputs).unwrap();
+        let (colors, _) =
+            solve_with_classes(&mut net, &ctx, &inputs, &KernelConfig::default()).unwrap();
         for v in g.nodes() {
             let x = colors[v as usize].unwrap();
             let same = g
@@ -1011,7 +997,7 @@ mod tests {
             })
             .collect();
         let mut net = Network::new(&g, Bandwidth::Local);
-        let out = solve_oldc(&mut net, &ctx, &lists).unwrap();
+        let out = solve_oldc(&mut net, &ctx, &lists, &KernelConfig::default()).unwrap();
         let colors: Vec<u64> = out.colors.iter().map(|c| c.unwrap()).collect();
         assert_eq!(validate_oldc(&view, &lists, &colors), Ok(()));
     }
@@ -1039,7 +1025,7 @@ mod tests {
             })
             .collect();
         let mut net = Network::new(&g, Bandwidth::Local);
-        let out = solve_oldc(&mut net, &ctx, &lists).unwrap();
+        let out = solve_oldc(&mut net, &ctx, &lists, &KernelConfig::default()).unwrap();
         let colors: Vec<u64> = out.colors.iter().map(|c| c.unwrap()).collect();
         assert_eq!(validate_oldc(&view, &lists, &colors), Ok(()));
     }
@@ -1068,7 +1054,7 @@ mod tests {
             })
             .collect();
         let mut net = Network::new(&g, Bandwidth::Local);
-        let out = solve_oldc(&mut net, &ctx, &lists).unwrap();
+        let out = solve_oldc(&mut net, &ctx, &lists, &KernelConfig::default()).unwrap();
         let colors: Vec<u64> = out.colors.iter().map(|c| c.unwrap()).collect();
         assert_eq!(validate_oldc(&view, &lists, &colors), Ok(()));
     }
@@ -1093,7 +1079,7 @@ mod tests {
             .map(|v| DefectList::uniform((v % 4)..(v % 4 + 8), 0))
             .collect();
         let mut net = Network::new(&g, Bandwidth::Local);
-        let out = solve_oldc(&mut net, &ctx, &lists).unwrap();
+        let out = solve_oldc(&mut net, &ctx, &lists, &KernelConfig::default()).unwrap();
         let colors: Vec<u64> = out.colors.iter().map(|c| c.unwrap()).collect();
         assert_eq!(validate_oldc(&view, &lists, &colors), Ok(()));
     }
@@ -1115,7 +1101,7 @@ mod tests {
         let ctx = full_ctx(&view, 4, &init, 2, &active, &group, 3);
         let lists: Vec<DefectList> = (0..64).map(|_| DefectList::uniform(0..2, 0)).collect();
         let mut net = Network::new(&g, Bandwidth::Local);
-        let out = solve_oldc(&mut net, &ctx, &lists).unwrap();
+        let out = solve_oldc(&mut net, &ctx, &lists, &KernelConfig::default()).unwrap();
         let colors: Vec<u64> = out.colors.iter().map(|c| c.unwrap()).collect();
         assert_eq!(validate_oldc(&view, &lists, &colors), Ok(()));
         // Worst case: one laggard per round along the directed chain.
@@ -1146,7 +1132,7 @@ mod tests {
             })
             .collect();
         let mut net = Network::new(&g, Bandwidth::Local);
-        let out = solve_oldc(&mut net, &ctx, &lists).unwrap();
+        let out = solve_oldc(&mut net, &ctx, &lists, &KernelConfig::default()).unwrap();
         let colors: Vec<u64> = out.colors.iter().map(|c| c.unwrap()).collect();
         assert_eq!(validate_oldc(&view, &lists, &colors), Ok(()));
     }
@@ -1177,7 +1163,7 @@ mod tests {
                 })
                 .collect();
             let mut net = Network::new(&g, Bandwidth::Local);
-            let out = solve_oldc(&mut net, &ctx, &lists).unwrap();
+            let out = solve_oldc(&mut net, &ctx, &lists, &KernelConfig::default()).unwrap();
             let colors: Vec<u64> = out.colors.iter().map(|c| c.unwrap()).collect();
             assert_eq!(validate_oldc(&view, &lists, &colors), Ok(()));
             rounds.push(net.rounds());

@@ -41,18 +41,6 @@ impl ParamProfile {
         }
     }
 
-    /// The smallest constants at which the engines still converge reliably
-    /// (a few selection retries allowed). Used by the large-Δ shape
-    /// experiments, where `κ` must be small for the asymptotic regimes of
-    /// Theorems 1.3/1.4 to become visible at lab scale.
-    pub fn practical_aggressive() -> Self {
-        ParamProfile::Practical {
-            tau_scale: 0.5,
-            tau_min: 3,
-            alpha: 2,
-        }
-    }
-
     /// Eq. (4): `τ(h, 𝒞, m)`.
     pub fn tau(&self, h: u64, space: u64, m: u64) -> u64 {
         match *self {

@@ -28,11 +28,6 @@ impl ColorSpace {
     pub fn contains(&self, c: Color) -> bool {
         c < self.size
     }
-
-    /// Bits to name one color.
-    pub fn color_bits(&self) -> u64 {
-        ldc_sim::bits_for_value(self.size.saturating_sub(1)).max(1)
-    }
 }
 
 /// One node's color list with per-color defects, sorted by color.

@@ -77,22 +77,13 @@ struct Ns {
 
 /// Solve the generalized single-defect OLDC instance described in the
 /// module docs. `lists[v]`/`defects[v]` are read for active nodes only.
+///
+/// `cfg` sets the kernel mode, worker threads for the batched phases and
+/// shared cache. Colors, retries, rounds, and message bits are
+/// byte-identical across every configuration — batches gather in node
+/// order, compute pure kernel functions in parallel, and publish in node
+/// order.
 pub fn solve_single_defect(
-    net: &mut Network<'_>,
-    ctx: &OldcCtx<'_, '_>,
-    lists: &[Vec<Color>],
-    defects: &[u64],
-    g: u64,
-) -> Result<SingleDefectOutcome, CoreError> {
-    solve_single_defect_cfg(net, ctx, lists, defects, g, &KernelConfig::default())
-}
-
-/// [`solve_single_defect`] with a full [`KernelConfig`] (kernel mode,
-/// worker threads for the batched phases, shared cache). Colors, retries,
-/// rounds, and message bits are byte-identical across every
-/// configuration — batches gather in node order, compute pure kernel
-/// functions in parallel, and publish in node order.
-pub fn solve_single_defect_cfg(
     net: &mut Network<'_>,
     ctx: &OldcCtx<'_, '_>,
     lists: &[Vec<Color>],
@@ -505,7 +496,15 @@ mod tests {
             .collect();
         let defects = vec![defect; n];
         let mut net = Network::new(g, Bandwidth::Local);
-        let out = solve_single_defect(&mut net, &ctx, &lists, &defects, gap).unwrap();
+        let out = solve_single_defect(
+            &mut net,
+            &ctx,
+            &lists,
+            &defects,
+            gap,
+            &KernelConfig::default(),
+        )
+        .unwrap();
 
         // Validate: at most `defect` out-neighbors within `gap`.
         for v in g.nodes() {
@@ -584,7 +583,15 @@ mod tests {
         let lists: Vec<Vec<Color>> = (0..n).map(|_| (0..256).collect()).collect();
         let defects = vec![4u64; n];
         let mut net = Network::new(&g, Bandwidth::Local);
-        let out = solve_single_defect(&mut net, &ctx, &lists, &defects, 0).unwrap();
+        let out = solve_single_defect(
+            &mut net,
+            &ctx,
+            &lists,
+            &defects,
+            0,
+            &KernelConfig::default(),
+        )
+        .unwrap();
         for v in 0..6 {
             assert!(out.colors[v].is_some());
         }
@@ -615,7 +622,15 @@ mod tests {
         let lists: Vec<Vec<Color>> = (0..16).map(|_| (0..512).collect()).collect();
         let defects = vec![0u64; 16];
         let mut net = Network::new(&g, Bandwidth::Local);
-        let out = solve_single_defect(&mut net, &ctx, &lists, &defects, 0).unwrap();
+        let out = solve_single_defect(
+            &mut net,
+            &ctx,
+            &lists,
+            &defects,
+            0,
+            &KernelConfig::default(),
+        )
+        .unwrap();
         // Proper within each group.
         for (_, u, v) in g.edges() {
             if group[u as usize] == group[v as usize] {
@@ -645,7 +660,15 @@ mod tests {
         let lists: Vec<Vec<Color>> = (0..16).map(|_| (0..8).collect()).collect();
         let defects = vec![0u64; 16];
         let mut net = Network::new(&g, Bandwidth::Local);
-        let err = solve_single_defect(&mut net, &ctx, &lists, &defects, 0).unwrap_err();
+        let err = solve_single_defect(
+            &mut net,
+            &ctx,
+            &lists,
+            &defects,
+            0,
+            &KernelConfig::default(),
+        )
+        .unwrap_err();
         assert!(matches!(err, CoreError::Precondition { .. }), "{err}");
     }
 
@@ -669,7 +692,15 @@ mod tests {
         };
         let lists: Vec<Vec<Color>> = (0..200).map(|_| (0..4096).collect()).collect();
         let defects = vec![1u64; 200];
-        let out = solve_single_defect(&mut net, &ctx, &lists, &defects, 0).unwrap();
+        let out = solve_single_defect(
+            &mut net,
+            &ctx,
+            &lists,
+            &defects,
+            0,
+            &KernelConfig::default(),
+        )
+        .unwrap();
         // h ≤ ⌈log 2β⌉ = 4; rounds = 1 census + selection + h.
         assert!(net.rounds() <= 1 + out.selection_rounds as usize + 4);
     }

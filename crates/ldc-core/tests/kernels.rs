@@ -19,9 +19,9 @@ use ldc_core::colorspace::Theorem11Solver;
 use ldc_core::conflict::{conflict_weight, mu_g, psi_g, tau_g_conflict};
 use ldc_core::cover::SeededSubset;
 use ldc_core::kernels::{conflict_weight_at_least, psi_g_fast, KernelMode, PackedSet};
-use ldc_core::oldc::solve_oldc_cfg;
+use ldc_core::oldc::solve_oldc;
 use ldc_core::params::{practical_kappa, ParamProfile};
-use ldc_core::single_defect::solve_single_defect_cfg;
+use ldc_core::single_defect::solve_single_defect;
 use ldc_core::{Color, DefectList, OldcCtx};
 use ldc_graph::{generators, DirectedView, ProperColoring};
 use ldc_rand::Rng;
@@ -149,7 +149,7 @@ fn full_ctx<'a, 'g>(
     }
 }
 
-/// Run `solve_oldc_cfg` under both kernel modes on fresh traced networks
+/// Run `solve_oldc` under both kernel modes on fresh traced networks
 /// and assert byte-identical colors, stats, classes, rounds, and bits.
 /// Returns [`common::laggard_trace`] of the runs (equal in both modes).
 fn assert_oldc_differential(
@@ -167,10 +167,10 @@ fn assert_oldc_differential(
 
     let mut net_fast = Network::new(g, Bandwidth::Local);
     net_fast.set_tracer(Tracer::new());
-    let fast = solve_oldc_cfg(&mut net_fast, &ctx, lists, &KernelMode::Fast.into()).unwrap();
+    let fast = solve_oldc(&mut net_fast, &ctx, lists, &KernelMode::Fast.into()).unwrap();
     let mut net_ref = Network::new(g, Bandwidth::Local);
     net_ref.set_tracer(Tracer::new());
-    let refr = solve_oldc_cfg(&mut net_ref, &ctx, lists, &KernelMode::Reference.into()).unwrap();
+    let refr = solve_oldc(&mut net_ref, &ctx, lists, &KernelMode::Reference.into()).unwrap();
 
     assert_eq!(fast.colors, refr.colors, "colors must be byte-identical");
     assert_eq!(fast.classes, refr.classes);
@@ -263,7 +263,7 @@ fn cached_single_defect_is_byte_identical_with_color_distance() {
     let defects = vec![1u64; n];
 
     let mut net_fast = Network::new(&g, Bandwidth::Local);
-    let fast = solve_single_defect_cfg(
+    let fast = solve_single_defect(
         &mut net_fast,
         &ctx,
         &lists,
@@ -273,7 +273,7 @@ fn cached_single_defect_is_byte_identical_with_color_distance() {
     )
     .unwrap();
     let mut net_ref = Network::new(&g, Bandwidth::Local);
-    let refr = solve_single_defect_cfg(
+    let refr = solve_single_defect(
         &mut net_ref,
         &ctx,
         &lists,

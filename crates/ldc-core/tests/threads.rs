@@ -12,7 +12,7 @@
 mod common;
 
 use ldc_core::kernels::{KernelConfig, KernelMode};
-use ldc_core::oldc::{solve_oldc_cfg, OldcOutcome};
+use ldc_core::oldc::{solve_oldc, OldcOutcome};
 use ldc_core::params::ParamProfile;
 use ldc_core::problem::DefectList;
 use ldc_core::OldcCtx;
@@ -150,7 +150,7 @@ fn solve(w: &Workload, cfg: &KernelConfig) -> (OldcOutcome, u64, u64, u64) {
     };
     let mut net = Network::new(&w.graph, Bandwidth::Local);
     net.set_tracer(Tracer::new());
-    let out = solve_oldc_cfg(&mut net, &ctx, &w.lists, cfg).expect("workload must be solvable");
+    let out = solve_oldc(&mut net, &ctx, &w.lists, cfg).expect("workload must be solvable");
     let (_, laggard_depth) = common::laggard_trace(&net.tracer().report());
     let m = net.metrics();
     (out, net.rounds() as u64, m.total_bits(), laggard_depth)

@@ -118,11 +118,6 @@ impl GraphBuilder {
         self
     }
 
-    /// Number of (possibly duplicated) edges added so far.
-    pub fn pending_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Finish, validating all invariants.
     pub fn build(&mut self) -> Result<Graph, BuildError> {
         if let Some(e) = self.error.take() {

@@ -144,11 +144,6 @@ impl Graph {
         self.neighbors.len()
     }
 
-    /// Number of nodes with degree at least 1.
-    pub fn num_non_isolated(&self) -> usize {
-        self.nodes().filter(|&v| self.degree(v) > 0).count()
-    }
-
     /// The subgraph induced by `keep` (as a predicate over nodes), along
     /// with the mapping from new node ids to original ids.
     ///

@@ -33,20 +33,6 @@ impl Bandwidth {
     }
 }
 
-/// How the engine steps nodes within a round once the work threshold
-/// (total half-edge slots, see [`Network::set_parallel_threshold`]) and
-/// thread count allow parallelism at all.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// Dispatch chunk jobs to the persistent process-wide worker pool
-    /// (threads are spawned once per process, not per round).
-    #[default]
-    Pooled,
-    /// Never parallelize, regardless of thresholds (the reference the
-    /// pooled executor is checked against).
-    Sequential,
-}
-
 /// Simulation failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
@@ -247,10 +233,8 @@ pub struct Network<'g> {
     /// Below this many total half-edge slots a round runs sequentially
     /// (threading overhead beats the parallelism).
     parallel_threshold: usize,
-    /// Worker count for parallel rounds.
+    /// Worker count for parallel rounds; `1` is the serial reference.
     threads: usize,
-    /// Parallel executor flavor.
-    exec_mode: ExecMode,
     /// Rounds that actually took a parallel path.
     parallel_rounds: usize,
     /// Reusable per-round scratch (wire, chunk tables, outcomes).
@@ -301,7 +285,6 @@ impl<'g> Network<'g> {
             metrics: Metrics::default(),
             parallel_threshold: DEFAULT_PARALLEL_THRESHOLD,
             threads: default_threads(),
-            exec_mode: ExecMode::default(),
             parallel_rounds: 0,
             buffers: RoundBuffers::default(),
             tracer: Tracer::disabled(),
@@ -341,24 +324,15 @@ impl<'g> Network<'g> {
     }
 
     /// Override the worker count used for parallel rounds (defaults to
-    /// [`default_threads`]). Values above the chunk cap are clamped at
-    /// dispatch.
+    /// [`default_threads`]). `1` runs every round serially — the
+    /// reference the parallel path is checked against. Values above the
+    /// chunk cap are clamped at dispatch.
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads.max(1);
     }
 
-    /// Choose the parallel executor (pooled by default).
-    pub fn set_exec_mode(&mut self, mode: ExecMode) {
-        self.exec_mode = mode;
-    }
-
-    /// The currently configured executor.
-    pub fn exec_mode(&self) -> ExecMode {
-        self.exec_mode
-    }
-
     /// Rounds so far that took a parallel path (work ≥ threshold, > 1
-    /// thread, mode not [`ExecMode::Sequential`]).
+    /// thread, > 1 node).
     pub fn parallel_rounds(&self) -> usize {
         self.parallel_rounds
     }
@@ -385,9 +359,9 @@ impl<'g> Network<'g> {
 
     /// Attach a fault plan: subsequent rounds draw deterministic fault
     /// decisions from it (keyed on the plan seed, round index, attempt,
-    /// and global half-edge slot / node id — never on executor or thread
-    /// count, so all [`ExecMode`]s stay byte-identical under the same
-    /// plan). Fault events are counted in [`Metrics`] and attributed to
+    /// and global half-edge slot / node id — never on thread count or
+    /// chunking, so serial and parallel rounds stay byte-identical under
+    /// the same plan). Fault events are counted in [`Metrics`] and attributed to
     /// the open trace span.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.faults = Some(plan);
@@ -398,11 +372,6 @@ impl<'g> Network<'g> {
         self.faults = None;
     }
 
-    /// The attached fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.faults.as_ref()
-    }
-
     /// Configure round retries. The policy only engages while a fault
     /// plan is attached: a failed attempt (injected error or bandwidth
     /// violation) is re-executed up to `max_retries` times with the
@@ -411,11 +380,6 @@ impl<'g> Network<'g> {
     /// `backoff_rounds` stall rounds ([`Metrics::stalled_rounds`]).
     pub fn set_retry_policy(&mut self, retry: RetryPolicy) {
         self.retry = retry;
-    }
-
-    /// The configured retry policy.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
     }
 
     /// Execute one communication round.
@@ -495,12 +459,9 @@ impl<'g> Network<'g> {
         let total_slots = *self.prefix.last().unwrap_or(&0);
 
         // Shape of this round: parallel iff there is enough work (total
-        // half-edge slots, not node count), more than one thread, and the
-        // mode allows it.
-        let parallel = self.threads > 1
-            && self.exec_mode != ExecMode::Sequential
-            && total_slots >= self.parallel_threshold
-            && n > 1;
+        // half-edge slots, not node count), more than one thread, and more
+        // than one node.
+        let parallel = self.threads > 1 && total_slots >= self.parallel_threshold && n > 1;
         let chunks = if parallel {
             chunk_count(total_slots, self.threads, n)
         } else {
@@ -760,12 +721,11 @@ mod tests {
                 w[1] - w[0],
             );
         }
-        // Pooled vs serial byte-equality on the dense shape.
-        let run = |mode: ExecMode| -> Vec<u64> {
+        // Pooled vs serial (one thread) byte-equality on the dense shape.
+        let run = |threads: usize| -> (Vec<u64>, usize) {
             let mut net = Network::new(&g, Bandwidth::Local);
             net.set_parallel_threshold(0);
             net.set_threads(threads);
-            net.set_exec_mode(mode);
             let mut states: Vec<u64> = g.nodes().map(u64::from).collect();
             for _ in 0..3 {
                 net.broadcast_exchange(
@@ -781,9 +741,16 @@ mod tests {
                 )
                 .unwrap();
             }
-            states
+            (states, net.parallel_rounds())
         };
-        assert_eq!(run(ExecMode::Pooled), run(ExecMode::Sequential));
+        let (serial, serial_parallel_rounds) = run(1);
+        let (pooled, pooled_parallel_rounds) = run(threads);
+        assert_eq!(serial_parallel_rounds, 0, "one thread must stay serial");
+        assert!(
+            pooled_parallel_rounds > 0,
+            "the pooled run must go parallel"
+        );
+        assert_eq!(pooled, serial);
     }
 
     /// Property test for the degree-aware chunk cuts on degree-skewed
@@ -943,11 +910,10 @@ mod tests {
     #[test]
     fn parallel_and_sequential_agree() {
         let g = generators::gnp(600, 0.02, 3);
-        let run = |threshold: usize, mode: ExecMode| -> Vec<u64> {
+        let run = |threshold: usize| -> Vec<u64> {
             let mut net = Network::new(&g, Bandwidth::Local);
             net.set_parallel_threshold(threshold);
             net.set_threads(4);
-            net.set_exec_mode(mode);
             let mut states: Vec<u64> = g.nodes().map(u64::from).collect();
             for _ in 0..5 {
                 net.broadcast_exchange(
@@ -965,8 +931,8 @@ mod tests {
             }
             states
         };
-        let sequential = run(usize::MAX, ExecMode::Pooled);
-        assert_eq!(sequential, run(0, ExecMode::Pooled));
+        let sequential = run(usize::MAX);
+        assert_eq!(sequential, run(0));
     }
 
     /// Regression for the node-count-keyed switch: a small-n/high-degree

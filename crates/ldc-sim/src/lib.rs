@@ -67,7 +67,7 @@ pub mod trace;
 #[allow(unsafe_code)]
 pub mod wire;
 
-pub use engine::{Bandwidth, ExecMode, Inbox, Network, Outbox, SimError};
+pub use engine::{Bandwidth, Inbox, Network, Outbox, SimError};
 pub use faults::{CrashWindow, FaultPlan, RetryPolicy};
 pub use message::{bits_for_value, MessageSize};
 pub use metrics::{Metrics, RoundStats};

@@ -15,7 +15,7 @@
 //!   build that produced it;
 //! * an [`EventSink`] writing JSONL where every event line splits into a
 //!   **deterministic** section (`"det"` — counts, rounds, bits, cache
-//!   hits; byte-diffable in CI across shard counts, exec modes, and
+//!   hits; byte-diffable in CI across shard counts, thread counts, and
 //!   machines) and a **timing** section (`"timing"` — wall-clock values,
 //!   explicitly excluded from diffs via [`strip_timing`]).
 //!
@@ -261,7 +261,7 @@ impl Registry {
     /// Export an engine [`Metrics`] under `prefix`: scalar totals as
     /// counters plus per-round bits / max-message-bits histograms. Every
     /// quantity is engine-deterministic, so the export is identical across
-    /// exec modes and thread counts.
+    /// thread counts and parallel thresholds.
     pub fn observe_metrics(&mut self, prefix: &str, m: &Metrics) {
         self.counter_add(&format!("{prefix}.rounds"), m.rounds() as u64);
         self.counter_add(&format!("{prefix}.messages"), m.total_messages());
@@ -444,7 +444,7 @@ impl EventSink {
     }
 
     /// Only the deterministic sections: no manifest line, no `timing`
-    /// keys. Byte-identical across shard counts, exec modes, and hosts.
+    /// keys. Byte-identical across shard counts, thread counts, and hosts.
     pub fn deterministic_jsonl(&self) -> String {
         let mut out = String::new();
         for (event, det, _) in &self.events {

@@ -1,12 +1,13 @@
 //! Integration tests for the round-engine hot path: steady-state buffer
-//! reuse, zero per-round thread spawns in pooled mode, executor-mode
-//! equivalence (pooled and sequential must be indistinguishable in states
-//! and metrics), and recovery after a CONGEST violation.
+//! reuse, zero per-round thread spawns in pooled mode, serial/parallel
+//! equivalence (a pooled run and a one-thread run must be
+//! indistinguishable in states and metrics), and recovery after a CONGEST
+//! violation.
 
 use ldc_graph::generators;
 use ldc_rand::Rng;
 use ldc_sim::pool::threads_spawned;
-use ldc_sim::{Bandwidth, ExecMode, MessageSize, Metrics, Network, Outbox, RoundStats, SimError};
+use ldc_sim::{Bandwidth, MessageSize, Metrics, Network, Outbox, RoundStats, SimError};
 
 #[derive(Clone, PartialEq, Debug)]
 struct Ping(u64);
@@ -69,7 +70,6 @@ fn pooled_mode_spawns_no_threads_per_round() {
     let mut net = Network::new(&g, Bandwidth::Local);
     net.set_threads(4);
     net.set_parallel_threshold(0); // force the parallel path
-    net.set_exec_mode(ExecMode::Pooled);
     let mut states: Vec<u64> = (0..120).collect();
     // Warm up: pool workers spawn here at the latest.
     for _ in 0..3 {
@@ -90,9 +90,9 @@ fn pooled_mode_spawns_no_threads_per_round() {
     );
 }
 
-/// Pooled-parallel and sequential execution must produce
+/// Pooled-parallel and serial (one-thread) execution must produce
 /// byte-identical states and identical per-round metrics, across seeds,
-/// graph shapes, and thread counts (t = 1/2/4/8 — the bench sweep's
+/// graph shapes, and thread counts (t = 2/4/8 — the bench sweep's
 /// widths; chunking changes with `t`, output must not).
 #[test]
 fn all_exec_modes_agree_across_seeds() {
@@ -103,23 +103,32 @@ fn all_exec_modes_agree_across_seeds() {
         let g = generators::gnp(n, p, case);
         let rounds = 3 + (case as usize % 4);
 
-        let run =
-            |mode: ExecMode, threads: usize, threshold: usize| -> (Vec<u64>, Vec<RoundStats>) {
-                let mut net = Network::new(&g, Bandwidth::Local);
-                net.set_threads(threads);
-                net.set_exec_mode(mode);
-                net.set_parallel_threshold(threshold);
-                let mut states: Vec<u64> =
-                    (0..n as u64).map(|v| v.wrapping_mul(case + 1)).collect();
-                for _ in 0..rounds {
-                    mix_round(&mut net, &mut states).unwrap();
-                }
-                (states, net.metrics().per_round().to_vec())
-            };
+        let run = |threads: usize| -> (Vec<u64>, Vec<RoundStats>, usize) {
+            let mut net = Network::new(&g, Bandwidth::Local);
+            net.set_threads(threads);
+            net.set_parallel_threshold(0);
+            let mut states: Vec<u64> = (0..n as u64).map(|v| v.wrapping_mul(case + 1)).collect();
+            for _ in 0..rounds {
+                mix_round(&mut net, &mut states).unwrap();
+            }
+            (
+                states,
+                net.metrics().per_round().to_vec(),
+                net.parallel_rounds(),
+            )
+        };
 
-        let (seq_states, seq_rounds) = run(ExecMode::Sequential, 1, 0);
-        for threads in [1usize, 2, 4, 8] {
-            let (states, per_round) = run(ExecMode::Pooled, threads, 0);
+        let (seq_states, seq_rounds, seq_parallel) = run(1);
+        assert_eq!(
+            seq_parallel, 0,
+            "case {case}: the reference must run serially"
+        );
+        for threads in [2usize, 4, 8] {
+            let (states, per_round, parallel) = run(threads);
+            assert_eq!(
+                parallel, rounds,
+                "case {case}: pooled@t{threads} must go parallel"
+            );
             assert_eq!(
                 states, seq_states,
                 "case {case}: pooled@t{threads} states diverged"
@@ -137,7 +146,7 @@ fn all_exec_modes_agree_across_seeds() {
 /// starts from a clean wire (no stale messages).
 #[test]
 fn network_recovers_after_bandwidth_exceeded() {
-    for mode in [ExecMode::Sequential, ExecMode::Pooled] {
+    for threads in [1, 4] {
         let g = generators::complete(64);
         let mut net = Network::new(
             &g,
@@ -145,13 +154,8 @@ fn network_recovers_after_bandwidth_exceeded() {
                 bits_per_message: 8,
             },
         );
-        net.set_threads(4);
-        net.set_parallel_threshold(if mode == ExecMode::Sequential {
-            usize::MAX
-        } else {
-            0
-        });
-        net.set_exec_mode(mode);
+        net.set_threads(threads);
+        net.set_parallel_threshold(0);
         let tracer = ldc_sim::Tracer::new();
         net.set_tracer(tracer.clone());
         let mut states = vec![0u64; 64];
@@ -195,8 +199,8 @@ fn network_recovers_after_bandwidth_exceeded() {
             other => panic!("expected BandwidthExceeded, got {other:?}"),
         }
         // Failed round is invisible in metrics...
-        assert_eq!(net.metrics().rounds(), clean.rounds(), "{mode:?}");
-        assert_eq!(net.metrics().total_bits(), clean.total_bits(), "{mode:?}");
+        assert_eq!(net.metrics().rounds(), clean.rounds(), "t{threads}");
+        assert_eq!(net.metrics().total_bits(), clean.total_bits(), "t{threads}");
 
         // ...and the next round is clean: every node sees exactly its
         // neighbors' fresh messages, no leftovers from the failed round.
@@ -210,7 +214,7 @@ fn network_recovers_after_bandwidth_exceeded() {
             },
         )
         .unwrap();
-        assert_eq!(net.metrics().rounds(), 2, "{mode:?}");
+        assert_eq!(net.metrics().rounds(), 2, "t{threads}");
 
         // Tracer agrees with metrics (the trace_attribution invariant):
         // only successful rounds were emitted.
@@ -218,12 +222,12 @@ fn network_recovers_after_bandwidth_exceeded() {
         assert_eq!(
             root.total().rounds as usize,
             net.metrics().rounds(),
-            "{mode:?}"
+            "t{threads}"
         );
         assert_eq!(
             root.total().total_bits,
             net.metrics().total_bits(),
-            "{mode:?}"
+            "t{threads}"
         );
     }
 }
@@ -234,16 +238,15 @@ fn network_recovers_after_bandwidth_exceeded() {
 fn violation_choice_is_deterministic_across_modes() {
     let g = generators::complete(100);
     let offenders = [13u32, 41, 77];
-    let run = |mode: ExecMode, threshold: usize| -> SimError {
+    let run = |threads: usize| -> SimError {
         let mut net = Network::new(
             &g,
             Bandwidth::Congest {
                 bits_per_message: 4,
             },
         );
-        net.set_threads(4);
-        net.set_parallel_threshold(threshold);
-        net.set_exec_mode(mode);
+        net.set_threads(threads);
+        net.set_parallel_threshold(0);
         let mut states = vec![0u8; 100];
         net.exchange(
             &mut states,
@@ -256,8 +259,8 @@ fn violation_choice_is_deterministic_across_modes() {
         )
         .unwrap_err()
     };
-    let sequential = run(ExecMode::Sequential, usize::MAX);
-    assert_eq!(sequential, run(ExecMode::Pooled, 0));
+    let sequential = run(1);
+    assert_eq!(sequential, run(4));
     match sequential {
         SimError::BandwidthExceeded { node, port, .. } => {
             assert_eq!((node, port), (13, 0), "first offender in node order");
@@ -273,7 +276,7 @@ fn violation_choice_is_deterministic_across_modes() {
 fn metrics_compose_across_modes() {
     let g = generators::gnp(150, 0.1, 3);
     let mut seq = Network::new(&g, Bandwidth::Local);
-    seq.set_exec_mode(ExecMode::Sequential);
+    seq.set_threads(1);
     let mut par = Network::new(&g, Bandwidth::Local);
     par.set_threads(4);
     par.set_parallel_threshold(0);

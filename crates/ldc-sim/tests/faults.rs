@@ -1,6 +1,6 @@
 //! Integration tests for the fault-injection layer: zero-fault plans are
-//! proven no-ops, all executors agree byte-for-byte under the same seeded
-//! `FaultPlan`, metrics/trace attribution stays exact under faults, the
+//! proven no-ops, serial (one-thread) and pooled runs agree byte-for-byte
+//! under the same seeded `FaultPlan`, metrics/trace attribution stays exact under faults, the
 //! retry policy recovers from transient errors with sender state rolled
 //! back, and the hot-path invariants (zero steady-state wire allocations)
 //! survive fault application.
@@ -11,8 +11,7 @@ use ldc_sim::trace::{
     CTR_FAULTED_NODES, CTR_MESSAGES_DROPPED, CTR_ROUNDS_RETRIED, CTR_STALLED_ROUNDS,
 };
 use ldc_sim::{
-    Bandwidth, ExecMode, FaultPlan, MessageSize, Network, Outbox, RetryPolicy, RoundStats,
-    SimError, Tracer,
+    Bandwidth, FaultPlan, MessageSize, Network, Outbox, RetryPolicy, RoundStats, SimError, Tracer,
 };
 
 #[derive(Clone, PartialEq, Debug)]
@@ -42,19 +41,21 @@ fn mix_round(net: &mut Network<'_>, states: &mut [u64]) -> Result<(), SimError> 
     )
 }
 
-/// Run `rounds` mixing rounds under `plan` (if any) and return the final
-/// states plus the full metrics.
+/// Final states, per-round metrics, messages dropped, faulted node-rounds.
+type Mix = (Vec<u64>, Vec<RoundStats>, u64, u64);
+
+/// Run `rounds` mixing rounds on `threads` engine threads (every round
+/// eligible for the parallel path) under `plan` (if any); return the
+/// outcome and how many rounds actually ran in parallel.
 fn run_mix(
     g: &ldc_graph::Graph,
     plan: Option<FaultPlan>,
-    mode: ExecMode,
-    threshold: usize,
+    threads: usize,
     rounds: usize,
-) -> (Vec<u64>, Vec<RoundStats>, u64, u64) {
+) -> (Mix, usize) {
     let mut net = Network::new(g, Bandwidth::Local);
-    net.set_threads(4);
-    net.set_exec_mode(mode);
-    net.set_parallel_threshold(threshold);
+    net.set_threads(threads);
+    net.set_parallel_threshold(0);
     if let Some(p) = plan {
         net.set_fault_plan(p);
     }
@@ -66,12 +67,13 @@ fn run_mix(
         mix_round(&mut net, &mut states).unwrap();
     }
     let m = net.metrics();
-    (
+    let mix = (
         states,
         m.per_round().to_vec(),
         m.messages_dropped(),
         m.faulted_nodes(),
-    )
+    );
+    (mix, net.parallel_rounds())
 }
 
 /// Satellite: a `FaultPlan` with drop-rate 0 and an all-∞ / all-restore
@@ -95,17 +97,17 @@ fn zero_fault_plans_are_noops() {
             .with_budget_step(rounds / 2, None);
         assert!(plan.is_noop());
 
-        let baseline = run_mix(&g, None, ExecMode::Sequential, usize::MAX, rounds);
-        for mode in [ExecMode::Sequential, ExecMode::Pooled] {
-            let faulty = run_mix(&g, Some(plan.clone()), mode, 0, rounds);
-            assert_eq!(faulty, baseline, "case {case}: {mode:?} diverged");
+        let (baseline, _) = run_mix(&g, None, 1, rounds);
+        for threads in [1, 4] {
+            let (faulty, _) = run_mix(&g, Some(plan.clone()), threads, rounds);
+            assert_eq!(faulty, baseline, "case {case}: t{threads} diverged");
         }
         assert_eq!(baseline.2, 0, "no drops in a fault-free run");
         assert_eq!(baseline.3, 0, "no faulted nodes in a fault-free run");
     }
 }
 
-/// Pooled and sequential executors produce
+/// Pooled and serial (one-thread) runs produce
 /// byte-identical final states and identical `Metrics` (including the new
 /// drop/fault counters) under the *same* seeded lossy `FaultPlan`.
 #[test]
@@ -122,19 +124,18 @@ fn all_exec_modes_agree_under_seeded_faults() {
             .with_sleep_rate(0.05)
             .with_crash((case % n as u64) as u32, 1, rounds);
 
-        let baseline = run_mix(
-            &g,
-            Some(plan.clone()),
-            ExecMode::Sequential,
-            usize::MAX,
-            rounds,
+        let (baseline, serial_parallel) = run_mix(&g, Some(plan.clone()), 1, rounds);
+        assert_eq!(
+            serial_parallel, 0,
+            "case {case}: the reference must run serially"
         );
         assert!(
             baseline.2 > 0,
             "case {case}: the plan must actually drop something"
         );
         assert!(baseline.3 > 0, "case {case}: some node-round faults");
-        let faulty = run_mix(&g, Some(plan.clone()), ExecMode::Pooled, 0, rounds);
+        let (faulty, parallel) = run_mix(&g, Some(plan.clone()), 4, rounds);
+        assert!(parallel > 0, "case {case}: the pooled run must go parallel");
         assert_eq!(faulty, baseline, "case {case}: pooled diverged");
     }
 }

@@ -15,7 +15,7 @@
 use ldc::core::existence::solve_ldc;
 use ldc::core::multi_defect::solve_multi_defect;
 use ldc::core::validate::{validate_ldc, validate_oldc};
-use ldc::core::{ColorSpace, DefectList, LdcInstance, OldcCtx, ParamProfile};
+use ldc::core::{ColorSpace, DefectList, KernelConfig, LdcInstance, OldcCtx, ParamProfile};
 use ldc::graph::{generators, DirectedView};
 use ldc::sim::{Bandwidth, Network};
 
@@ -75,7 +75,7 @@ fn main() {
         seed: 4,
     };
     let mut net = Network::new(&g, Bandwidth::Local);
-    let out = solve_multi_defect(&mut net, &ctx, &lists, 0).unwrap();
+    let out = solve_multi_defect(&mut net, &ctx, &lists, 0, &KernelConfig::default()).unwrap();
     let colors: Vec<u64> = out.inner.colors.iter().map(|c| c.unwrap()).collect();
     validate_oldc(&view, &lists, &colors).unwrap();
     let interfering: usize = g

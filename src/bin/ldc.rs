@@ -58,7 +58,7 @@ fn run(args: &[String]) -> Result<(), String> {
 }
 
 fn usage() -> String {
-    "usage:\n  ldc gen <ring|path|complete|torus|regular|gnp|tree|powerlaw|hypercube> <params…> [--seed S] [-o FILE]\n  ldc color <FILE> [--algorithm thm14|classic|luby] [--seed S] [--trace FILE] [--timings] [--faults SPEC] [--retries N]\n  ldc edge-color <FILE> [--seed S] [--trace FILE] [--timings]\n  ldc analyze <FILE>\n  ldc batch <SPEC.json> [--shards N] [--solver-threads N] [--shared-cache] [--strict] [--out FILE] [--telemetry FILE]\n  ldc soak [--smoke|--full] [--only ID] [--seed S] [--shards N] [--out-dir DIR] [--list]\n  ldc report [--history FILE] [--telemetry FILE] [--strip-timing FILE]\n  ldc serve --socket PATH [--workers N] [--queue-cap N] [--solver-threads N] [--shared-cache] [--retry-after-ms MS]\n  ldc loadgen --socket PATH [--smoke] [--connections N] [--initial-rps R] [--increment-rps R] [--max-rps R]\n              [--step-ms MS] [--p95-ms MS] [--job SPEC.json] [--out FILE]\n  ldc loadgen --socket PATH --replay SPEC.json [--out FILE]\n\n  batch: run every job in SPEC.json (array of job objects, or {\"jobs\": [...]})\n  sharded over the worker pool, and write one JSONL row per job plus a fleet\n  summary line. Output is byte-identical for every --shards value, every\n  --solver-threads value, and with or without --shared-cache.\n  --solver-threads N: worker threads for each solver's batched per-node\n  phases (default 1). --shared-cache: share one kernel cache across the\n  whole run so same-shaped jobs skip recomputation (stats on stderr).\n  --strict: reject unknown top-level fields in the spec (schema v1);\n  default is loose, which ignores them so old fixtures keep loading.\n  --telemetry FILE: also write a manifest-stamped telemetry JSONL whose\n  deterministic section is byte-identical across shard counts (with\n  --shared-cache, only at --shards 1 — shared hits race otherwise).\n\n  soak: expand the seeded scenario matrix (DESIGN.md §14) and hold every\n  scenario to the invariant catalog — validity, byte-identical rows across\n  shards/exec/threads/cache, Reference-vs-Fast equality, stats\n  sum-consistency, zero-alloc engine steady state. --smoke (default) runs\n  the curated PR slice, --full the whole matrix (nightly). Results stream\n  to DIR/soak_<tier>.jsonl (default target/soak); exit is nonzero on any\n  violation, printing a one-line repro (`ldc soak --seed S --only ID`).\n  --shards N sets the sharded determinism variant (default 4; det output\n  is byte-identical at every value). --list prints scenario ids.\n\n  report: render bench-history trend tables (default --history\n  BENCH_history.jsonl) and/or summarize a telemetry JSONL; --strip-timing\n  prints only the deterministic sections of a telemetry file (CI diffs it).\n\n  serve: run the ldcd daemon (DESIGN.md §15) on a Unix socket. Every solve\n  goes through the same single-job core as `ldc batch`, so served rows are\n  byte-identical to batch rows for the same spec and job index. Admission\n  is bounded at workers + queue-cap jobs in flight; excess solves get a\n  typed busy response carrying --retry-after-ms. SIGTERM drains: admitted\n  jobs finish and are delivered, then the process exits.\n\n  loadgen: drive a running daemon. Default mode ramps offered load from\n  --initial-rps by --increment-rps up to --max-rps (--smoke: a sub-second\n  CI-sized ramp), measures per-request latency into log₂ histograms, and\n  reports the knee — the first step where p95 exceeds --p95-ms or\n  completions fall under 90% of offered. --out writes an E20 telemetry\n  JSONL (deterministic det rows; latency percentiles in timing).\n  --replay SPEC.json instead pushes a batch job list through one\n  connection and writes the result rows — byte-identical to `ldc batch`\n  on the same spec.\n\n  --trace FILE: record a phase-span trace (per-theorem rounds/bits), print\n  the span tree, and write it as JSONL to FILE ('-' prints the tree only).\n  --timings: include wall-clock fields in the trace JSONL (off by default,\n  keeping trace output byte-diffable).\n\n  --faults SPEC: run under a seeded fault plan (DESIGN.md §9). SPEC is\n  comma-separated key=value pairs: seed=S, drop=RATE, trunc=RATE:CAPBITS,\n  sleep=RATE, error=RATE (e.g. --faults seed=7,drop=0.05,error=0.1).\n  --retries N: round retries per fault (default 3, backoff 1 stall round)."
+    "usage:\n  ldc gen <ring|path|complete|torus|regular|gnp|tree|powerlaw|hypercube> <params…> [--seed S] [-o FILE]\n  ldc color <FILE> [--algorithm thm14|classic|luby] [--seed S] [--trace FILE] [--timings] [--faults SPEC] [--retries N]\n  ldc edge-color <FILE> [--seed S] [--trace FILE] [--timings]\n  ldc analyze <FILE>\n  ldc batch <SPEC.json> [--shards N] [--solver-threads N] [--shared-cache] [--strict] [--out FILE] [--telemetry FILE]\n  ldc soak [--smoke|--full] [--only ID] [--seed S] [--shards N] [--out-dir DIR] [--list]\n  ldc report [--history FILE] [--telemetry FILE] [--strip-timing FILE]\n  ldc serve --socket PATH [--workers N] [--queue-cap N] [--solver-threads N] [--shared-cache] [--retry-after-ms MS]\n  ldc loadgen --socket PATH [--smoke] [--connections N] [--initial-rps R] [--increment-rps R] [--max-rps R]\n              [--step-ms MS] [--p95-ms MS] [--job SPEC.json] [--out FILE]\n  ldc loadgen --socket PATH --replay SPEC.json [--out FILE]\n\n  batch: run every job in SPEC.json (array of job objects, or {\"jobs\": [...]})\n  sharded over the worker pool, and write one JSONL row per job plus a fleet\n  summary line. Output is byte-identical for every --shards value, every\n  --solver-threads value, and with or without --shared-cache.\n  --solver-threads N: worker threads for each solver's batched per-node\n  phases (default 1). --shared-cache: share one kernel cache across the\n  whole run so same-shaped jobs skip recomputation (stats on stderr).\n  --strict: reject unknown top-level fields in the spec (schema v1);\n  default is loose, which ignores them so old fixtures keep loading.\n  --telemetry FILE: also write a manifest-stamped telemetry JSONL whose\n  deterministic section is byte-identical across shard counts (with\n  --shared-cache, only at --shards 1 — shared hits race otherwise).\n\n  soak: expand the seeded scenario matrix (DESIGN.md §14) and hold every\n  scenario to the invariant catalog — validity, byte-identical rows across\n  shards/threads/cache, Reference-vs-Fast equality, stats\n  sum-consistency, zero-alloc engine steady state. --smoke (default) runs\n  the curated PR slice, --full the whole matrix (nightly). Results stream\n  to DIR/soak_<tier>.jsonl (default target/soak); exit is nonzero on any\n  violation, printing a one-line repro (`ldc soak --seed S --only ID`).\n  --shards N sets the sharded determinism variant (default 4; det output\n  is byte-identical at every value). --list prints scenario ids.\n\n  report: render bench-history trend tables (default --history\n  BENCH_history.jsonl) and/or summarize a telemetry JSONL; --strip-timing\n  prints only the deterministic sections of a telemetry file (CI diffs it).\n\n  serve: run the ldcd daemon (DESIGN.md §15) on a Unix socket. Every solve\n  goes through the same single-job core as `ldc batch`, so served rows are\n  byte-identical to batch rows for the same spec and job index. Admission\n  is bounded at workers + queue-cap jobs in flight; excess solves get a\n  typed busy response carrying --retry-after-ms. SIGTERM drains: admitted\n  jobs finish and are delivered, then the process exits.\n\n  loadgen: drive a running daemon. Default mode ramps offered load from\n  --initial-rps by --increment-rps up to --max-rps (--smoke: a sub-second\n  CI-sized ramp), measures per-request latency into log₂ histograms, and\n  reports the knee — the first step where p95 exceeds --p95-ms or\n  completions fall under 90% of offered. --out writes an E20 telemetry\n  JSONL (deterministic det rows; latency percentiles in timing).\n  --replay SPEC.json instead pushes a batch job list through one\n  connection and writes the result rows — byte-identical to `ldc batch`\n  on the same spec.\n\n  --trace FILE: record a phase-span trace (per-theorem rounds/bits), print\n  the span tree, and write it as JSONL to FILE ('-' prints the tree only).\n  --timings: include wall-clock fields in the trace JSONL (off by default,\n  keeping trace output byte-diffable).\n\n  --faults SPEC: run under a seeded fault plan (DESIGN.md §9). SPEC is\n  comma-separated key=value pairs: seed=S, drop=RATE, trunc=RATE:CAPBITS,\n  sleep=RATE, error=RATE (e.g. --faults seed=7,drop=0.05,error=0.1).\n  --retries N: round retries per fault (default 3, backoff 1 stall round)."
         .into()
 }
 

@@ -69,19 +69,40 @@ fn jsonl_stream_is_byte_identical_across_shard_counts() {
         seed: 1,
         faults: None,
     });
+    // Theorem 1.4 under 20% message drops: a lost color announcement
+    // breaks Linial's initial coloring — again a typed error row.
+    jobs.push(JobSpec {
+        graph: GraphSource::Regular {
+            n: 500,
+            d: 8,
+            seed: 3,
+        },
+        algorithm: Algorithm::Congest,
+        lists: ListSpec::default(),
+        seed: 1,
+        faults: Some(FaultSpec {
+            seed: 1,
+            drop_milli: 200,
+            max_retries: 8,
+            ..FaultSpec::default()
+        }),
+    });
     let baseline = Fleet::new(1).run(&jobs);
     assert_eq!(
         baseline.summary.ok,
-        jobs.len() as u64 - 1,
+        jobs.len() as u64 - 2,
         "all other jobs solve"
     );
-    let stalled = baseline.outcomes.last().expect("one outcome per job");
-    assert!(!stalled.ok);
-    assert!(
-        stalled.row.contains("\"status\":\"error\""),
-        "{}",
-        stalled.row
-    );
+    for failed in &baseline.outcomes[jobs.len() - 2..] {
+        assert!(!failed.ok);
+        assert!(
+            failed.row.contains("\"status\":\"error\""),
+            "{}",
+            failed.row
+        );
+    }
+    let improper = &baseline.outcomes[jobs.len() - 1];
+    assert!(improper.row.contains("lost properness"), "{}", improper.row);
     for shards in [2, 3, 4, 64] {
         let run = Fleet::new(shards).run(&jobs);
         assert_eq!(

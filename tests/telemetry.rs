@@ -1,6 +1,6 @@
 //! Integration tests for the telemetry layer (DESIGN.md §12): manifest
 //! round-trips through the JSON reader, registry snapshots that must stay
-//! byte-identical across shard counts and exec modes, and the
+//! byte-identical across shard counts and engine thread counts, and the
 //! `strip_timing` contract the CI byte-diff job relies on.
 
 use ldc::batch::jsonin::Value;
@@ -9,7 +9,7 @@ use ldc::classic;
 use ldc::graph::generators;
 use ldc::sim::json::Obj;
 use ldc::sim::telemetry::{strip_timing, EventSink, Registry, RunManifest};
-use ldc::sim::{Bandwidth, ExecMode, Network};
+use ldc::sim::{Bandwidth, Network};
 
 fn sample_jobs() -> Vec<JobSpec> {
     let regular = GraphSource::Regular {
@@ -130,9 +130,10 @@ fn sink_det_section_is_shard_invariant_and_timing_free() {
 fn registry_snapshot_identical_across_exec_modes() {
     let g = generators::random_regular(64, 4, 9);
     let mut snapshots: Vec<String> = Vec::new();
-    for mode in [ExecMode::Sequential, ExecMode::Pooled] {
+    let mut parallel_rounds = Vec::new();
+    for threads in [1, 4] {
         let mut net = Network::new(&g, Bandwidth::congest_log(g.num_nodes(), 16));
-        net.set_exec_mode(mode);
+        net.set_threads(threads);
         net.set_parallel_threshold(0);
         let lin = classic::linial_coloring(&mut net, None).expect("linial succeeds");
         let lists: Vec<Vec<u64>> = g
@@ -144,8 +145,14 @@ fn registry_snapshot_identical_across_exec_modes() {
         let mut reg = Registry::new();
         reg.observe_metrics("engine", net.metrics());
         snapshots.push(reg.to_json());
+        parallel_rounds.push(net.parallel_rounds());
     }
-    assert_eq!(snapshots[0], snapshots[1], "pooled differs from sequential");
+    assert_eq!(
+        parallel_rounds[0], 0,
+        "the one-thread reference must run serially"
+    );
+    assert!(parallel_rounds[1] > 0, "the pooled run must go parallel");
+    assert_eq!(snapshots[0], snapshots[1], "pooled differs from serial");
     assert!(snapshots[0].contains("engine.rounds"));
     assert!(snapshots[0].contains("engine.round_bits"));
 }
