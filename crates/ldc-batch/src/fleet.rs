@@ -19,16 +19,21 @@ use ldc_core::{
 };
 use ldc_graph::{DirectedView, Graph};
 use ldc_sim::json::Obj;
-use ldc_sim::pool::{pool_execute, DisjointChunks, MAX_CHUNKS};
+use ldc_sim::pool::{pool_execute, MAX_CHUNKS};
 use ldc_sim::telemetry::{Histogram, Registry};
 use std::collections::{BTreeSet, HashMap};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
-/// Run `f` over `items`, sharded across the worker pool, and return the
-/// results **in item order** regardless of which shard ran which item.
-/// `f` receives `(item_index, &item)`. Shards are clamped to
-/// `1..=min(items, MAX_CHUNKS)`; contiguous index ranges keep each
-/// shard's work adjacent in memory.
+/// Run `f` over `items` on up to `shards` concurrent pool executors and
+/// return the results **in item order** regardless of which executor ran
+/// which item. `f` receives `(item_index, &item)`. Shards are clamped to
+/// `1..=min(items, MAX_CHUNKS)`; at 1 the items run inline.
+///
+/// The schedule is work-conserving: every executor claims the next
+/// unclaimed index from one shared cursor (so items *start* in index
+/// order) and writes the result into that index's own slot, so a long
+/// item never leaves an executor idle while other items wait.
 pub fn sharded_map<I, T, F>(shards: usize, items: &[I], f: F) -> Vec<T>
 where
     I: Sync,
@@ -40,18 +45,27 @@ where
         return Vec::new();
     }
     let shards = shards.clamp(1, MAX_CHUNKS.min(n));
-    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    let bounds: Vec<usize> = (0..=shards).map(|s| s * n / shards).collect();
-    let chunks = DisjointChunks::new(&mut slots, &bounds);
-    pool_execute(shards, shards, |c| {
-        let start = bounds[c];
-        for (off, slot) in chunks.take(c).iter_mut().enumerate() {
-            *slot = Some(f(start + off, &items[start + off]));
+    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    // `Relaxed`: the cursor only hands out indices; results are published
+    // through each slot's mutex and the pool's completion rendezvous.
+    let cursor = AtomicUsize::new(0);
+    pool_execute(shards, shards, |_| loop {
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
+            return;
         }
+        let out = f(i, &items[i]);
+        *slots[i]
+            .lock()
+            .expect("no slot lock is held across a panic") = Some(out);
     });
     slots
         .into_iter()
-        .map(|s| s.expect("every slot filled by its shard"))
+        .map(|s| {
+            s.into_inner()
+                .expect("no slot lock is held across a panic")
+                .expect("every slot filled by its claimant")
+        })
         .collect()
 }
 
@@ -263,11 +277,13 @@ impl FleetRun {
     }
 }
 
-/// The sharded batch runner. `shards` is the number of pool chunks the
-/// job list is split into (1 = serial; clamped to the pool's chunk cap).
+/// The sharded batch runner. `shards` is the number of concurrent
+/// executors that pull jobs from the list (1 = serial; clamped to the
+/// pool's chunk cap and the job count).
 #[derive(Debug, Clone, Copy)]
 pub struct Fleet {
-    /// Requested shard count.
+    /// Concurrent executors: each claims the next unstarted job in index
+    /// order until none is left (see [`sharded_map`]).
     pub shards: usize,
     /// Worker threads for each solver's batched per-node phases
     /// (forwarded to [`SolveOptions::with_solver_threads`]). Rows are

@@ -8,7 +8,9 @@
 //! [`JobSpec`] list sharded over threads with byte-reproducible output.
 //! The rules (DESIGN.md §10):
 //!
-//! * **Sharding** reuses [`ldc_sim::pool`] — no per-fleet thread spawns.
+//! * **Sharding** reuses [`ldc_sim::pool`] — no per-fleet thread spawns —
+//!   and is work-conserving: executors claim jobs in index order from one
+//!   shared cursor.
 //! * **Graph caching**: generated graphs are built once per distinct
 //!   generator spec (keyed by a content hash of the spec), so sweeps
 //!   over seeds/algorithms on one topology don't rebuild it per job.

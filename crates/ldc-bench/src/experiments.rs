@@ -31,6 +31,7 @@ use ldc_core::validate::{
 };
 use ldc_core::{KernelConfig, KernelStats, SolveOptions};
 use ldc_graph::{generators, DirectedView, ProperColoring};
+use ldc_sim::pool::default_threads;
 use ldc_sim::{Bandwidth, FaultPlan, Network, RetryPolicy, SpanNode, Tracer};
 
 /// Run one experiment by id (`"E1"`…`"E17"`). `quick` shrinks sweeps.
@@ -462,10 +463,11 @@ pub fn e6_congest(quick: bool, traces: &mut Vec<SpanNode>) -> Table {
         vec![6, 12, 24, 48]
     };
     // Each Δ family is independent, so the loop runs through the batch
-    // layer's sharding primitive (the same path the Fleet uses): rows and
-    // traces are collected per family and appended in Δ order, keeping the
-    // emitted table byte-identical to the serial loop.
-    let families = sharded_map(deltas.len(), &deltas, |_, &delta| {
+    // layer's sharding primitive (the same path the Fleet uses), one
+    // executor per core: rows and traces are collected per family and
+    // appended in Δ order, keeping the emitted table byte-identical to the
+    // serial loop.
+    let families = sharded_map(default_threads(), &deltas, |_, &delta| {
         let mut rows: Vec<Vec<String>> = Vec::new();
         let mut traces: Vec<SpanNode> = Vec::new();
         let t = &mut rows;
@@ -758,7 +760,7 @@ pub fn e9_simulator_throughput(quick: bool) -> Table {
         ] {
             let mut net = Network::new(&g, Bandwidth::Local);
             net.set_parallel_threshold(threshold);
-            net.set_threads(ldc_sim::pool::default_threads().max(2));
+            net.set_threads(default_threads().max(2));
             let tracer = if trace {
                 Tracer::new()
             } else {
@@ -1235,7 +1237,7 @@ pub fn e16_fault_injection(quick: bool) -> Table {
         "rate 0.45, ≤12 retries".into(),
         Some(FaultPlan::new(0x16_0006).with_error_rate(0.45)),
     ));
-    let outcomes = sharded_map(specs.len(), &specs, |_, (_, _, plan)| {
+    let outcomes = sharded_map(default_threads(), &specs, |_, (_, _, plan)| {
         e16_flood(&g, plan.clone(), retry, cap)
     });
     for ((family, param, _), o) in specs.into_iter().zip(outcomes) {

@@ -34,6 +34,7 @@ pub use hpartition::{h_partition, HPartition};
 pub use linial::{defective_coloring, linial_coloring, DefectiveColoring};
 
 use ldc_graph::coloring::ColoringError;
+use ldc_graph::NodeId;
 use ldc_sim::SimError;
 
 /// Failures of the classic color reductions.
@@ -46,6 +47,10 @@ pub enum ClassicError {
     /// color announcement the reduction relied on, or froze a node on a
     /// color from an earlier palette.
     Improper(ColoringError),
+    /// A node never decided its color: a fault plan kept it from acting
+    /// in the round the reduction scheduled it for (a crashed or
+    /// sleeping node).
+    Undecided(NodeId),
 }
 
 impl From<SimError> for ClassicError {
@@ -59,6 +64,7 @@ impl std::fmt::Display for ClassicError {
         match self {
             ClassicError::Sim(e) => write!(f, "simulation error: {e}"),
             ClassicError::Improper(e) => write!(f, "color reduction lost properness: {e}"),
+            ClassicError::Undecided(v) => write!(f, "node {v} never decided its color"),
         }
     }
 }

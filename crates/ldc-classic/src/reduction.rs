@@ -6,7 +6,7 @@
 //! the simplest deterministic baseline in experiment E6.
 
 use crate::ClassicError;
-use ldc_graph::ProperColoring;
+use ldc_graph::{NodeId, ProperColoring};
 use ldc_sim::{Network, SimError};
 
 #[derive(Clone)]
@@ -204,11 +204,15 @@ pub fn kw_reduce_to_delta_plus_one(
 /// by a neighbor and announce it (`O(log|𝒞|)`-bit messages). `m` rounds;
 /// with a Linial initialization this is the classic `O(Δ² + log* n)`
 /// deterministic baseline that experiment E6 compares Theorem 1.4 against.
+///
+/// A node that a fault plan keeps from acting in its class round (crashed
+/// or asleep) never decides; that is reported as
+/// [`ClassicError::Undecided`] for the lowest such node.
 pub fn class_iteration_list_coloring(
     net: &mut Network<'_>,
     initial: &ProperColoring,
     lists: &[Vec<u64>],
-) -> Result<Vec<u64>, SimError> {
+) -> Result<Vec<u64>, ClassicError> {
     let g = net.graph();
     assert_eq!(lists.len(), g.num_nodes());
     for v in g.nodes() {
@@ -247,10 +251,11 @@ pub fn class_iteration_list_coloring(
             },
         )?;
     }
-    Ok(states
+    states
         .into_iter()
-        .map(|s| s.color.expect("every class processed"))
-        .collect())
+        .enumerate()
+        .map(|(v, s)| s.color.ok_or(ClassicError::Undecided(v as NodeId)))
+        .collect()
 }
 
 #[cfg(test)]

@@ -209,8 +209,7 @@ pub fn congest_degree_plus_one(
         CongestBranch::ClassIteration => {
             let colors = {
                 let _ci = tracer.span(span::CLASS_ITERATION);
-                ldc_classic::reduction::class_iteration_list_coloring(&mut net, &init, lists)
-                    .map_err(CoreError::Sim)?
+                ldc_classic::reduction::class_iteration_list_coloring(&mut net, &init, lists)?
             };
             let report = CongestReport {
                 branch,

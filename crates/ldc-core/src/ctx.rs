@@ -148,6 +148,12 @@ pub enum CoreError {
     /// arbdefective substrate) lost properness under a fault plan (see
     /// [`ldc_classic::ClassicError::Improper`]).
     Improper(ColoringError),
+    /// A classic reduction ended with a node that never decided its color
+    /// (see [`ldc_classic::ClassicError::Undecided`]).
+    Undecided {
+        /// The undecided node.
+        node: NodeId,
+    },
 }
 
 impl From<SimError> for CoreError {
@@ -161,6 +167,7 @@ impl From<ClassicError> for CoreError {
         match e {
             ClassicError::Sim(e) => CoreError::Sim(e),
             ClassicError::Improper(e) => CoreError::Improper(e),
+            ClassicError::Undecided(node) => CoreError::Undecided { node },
         }
     }
 }
@@ -180,6 +187,7 @@ impl std::fmt::Display for CoreError {
             ),
             CoreError::Sim(e) => write!(f, "simulation error: {e}"),
             CoreError::Improper(e) => write!(f, "color reduction lost properness: {e}"),
+            CoreError::Undecided { node } => write!(f, "node {node} never decided its color"),
         }
     }
 }

@@ -53,6 +53,11 @@ struct Job {
     func: &'static (dyn Fn(usize) + Sync),
     /// Total chunk count.
     chunks: usize,
+    /// Worker seats left: `threads - 1` at dispatch (the dispatcher is the
+    /// remaining executor). A woken worker must take a seat before it
+    /// claims a chunk, which is what caps a job at `threads` executors
+    /// however many workers earlier dispatches have spawned.
+    seats: AtomicUsize,
     /// Next chunk index to claim.
     next: AtomicUsize,
     /// Chunks not yet finished; the job is complete at 0.
@@ -65,6 +70,15 @@ struct Job {
 }
 
 impl Job {
+    /// Take one worker seat, if any is left. `Relaxed`: the seat count
+    /// publishes no data (chunk claims and completion synchronize through
+    /// `next`, `pending` and `done`).
+    fn take_seat(&self) -> bool {
+        self.seats
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| s.checked_sub(1))
+            .is_ok()
+    }
+
     /// Claim and run chunks until the cursor is exhausted; flag completion
     /// when the last chunk retires. Runs on workers *and* the dispatcher.
     fn run_chunks(&self) {
@@ -139,7 +153,9 @@ fn worker_loop(shared: Arc<Shared>) {
                 s = shared.work_cv.wait(s).unwrap_or_else(|e| e.into_inner());
             }
         };
-        job.run_chunks();
+        if job.take_seat() {
+            job.run_chunks();
+        }
     }
 }
 
@@ -178,7 +194,8 @@ impl Pool {
                 return;
             }
         };
-        self.ensure_workers(threads.min(chunks).saturating_sub(1));
+        let seats = threads.min(chunks) - 1;
+        self.ensure_workers(seats);
         // SAFETY: `execute` blocks on the completion rendezvous below until
         // `pending == 0`, i.e. until no thread will ever dereference `func`
         // again, so extending the borrow to `'static` cannot outlive `f`.
@@ -188,6 +205,7 @@ impl Pool {
         let job = Arc::new(Job {
             func,
             chunks,
+            seats: AtomicUsize::new(seats),
             next: AtomicUsize::new(0),
             pending: AtomicUsize::new(chunks),
             panic: Mutex::new(None),
@@ -221,7 +239,8 @@ impl Pool {
 
 /// Run `f(chunk)` for every `chunk in 0..chunks` across the persistent
 /// worker pool, using at most `threads` concurrent executors (the calling
-/// thread participates, so at most `threads - 1` workers are woken).
+/// thread participates, so at most `threads - 1` workers take a seat, even
+/// when an earlier, wider dispatch has grown the pool past that).
 /// Returns after every chunk has completed; worker panics propagate.
 ///
 /// With `threads <= 1` or `chunks <= 1` the chunks run inline and the
@@ -391,6 +410,28 @@ mod tests {
             after.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(after.load(Ordering::Relaxed), 8);
+    }
+
+    #[test]
+    fn thread_cap_holds_after_the_pool_has_grown() {
+        let nap = || std::thread::sleep(std::time::Duration::from_millis(1));
+        // Grow the pool to 7 workers (other tests may hold the dispatch
+        // lock, in which case a dispatch runs inline and spawns nothing).
+        for _ in 0..100 {
+            if threads_spawned() >= 7 {
+                break;
+            }
+            pool_execute(8, 8, |_| nap());
+        }
+        let (live, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        pool_execute(2, 64, |_| {
+            let now = live.fetch_add(1, Ordering::SeqCst) + 1;
+            peak.fetch_max(now, Ordering::SeqCst);
+            nap();
+            live.fetch_sub(1, Ordering::SeqCst);
+        });
+        let peak = peak.into_inner();
+        assert!(peak <= 2, "{peak} concurrent executors at threads = 2");
     }
 
     #[test]

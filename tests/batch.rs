@@ -87,13 +87,28 @@ fn jsonl_stream_is_byte_identical_across_shard_counts() {
             ..FaultSpec::default()
         }),
     });
+    // Theorem 1.4's class-iteration branch on K₂₄ with 4 nodes crashed
+    // through round 60: a crashed node never decides its color — a typed
+    // error row too.
+    jobs.push(JobSpec {
+        graph: GraphSource::Complete { n: 24 },
+        algorithm: Algorithm::Congest,
+        lists: ListSpec::default(),
+        seed: 1,
+        faults: Some(FaultSpec {
+            crash_nodes: 4,
+            crash_from: 0,
+            crash_until: 60,
+            ..FaultSpec::default()
+        }),
+    });
     let baseline = Fleet::new(1).run(&jobs);
     assert_eq!(
         baseline.summary.ok,
-        jobs.len() as u64 - 2,
+        jobs.len() as u64 - 3,
         "all other jobs solve"
     );
-    for failed in &baseline.outcomes[jobs.len() - 2..] {
+    for failed in &baseline.outcomes[jobs.len() - 3..] {
         assert!(!failed.ok);
         assert!(
             failed.row.contains("\"status\":\"error\""),
@@ -101,8 +116,10 @@ fn jsonl_stream_is_byte_identical_across_shard_counts() {
             failed.row
         );
     }
-    let improper = &baseline.outcomes[jobs.len() - 1];
+    let improper = &baseline.outcomes[jobs.len() - 2];
     assert!(improper.row.contains("lost properness"), "{}", improper.row);
+    let undecided = &baseline.outcomes[jobs.len() - 1];
+    assert!(undecided.row.contains("never decided"), "{}", undecided.row);
     for shards in [2, 3, 4, 64] {
         let run = Fleet::new(shards).run(&jobs);
         assert_eq!(
