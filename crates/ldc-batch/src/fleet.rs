@@ -250,7 +250,6 @@ impl FleetRun {
         reg.counter_add("fleet.kernels.select_misses", s.kernels.select_misses);
         reg.counter_add("fleet.kernels.conflict_calls", s.kernels.conflict_calls);
         reg.counter_add("fleet.kernels.conflict_misses", s.kernels.conflict_misses);
-        reg.counter_add("fleet.kernels.evictions", s.kernels.evictions);
         // Shared-cache counters only exist when a shared cache ran; they
         // are scheduling-sensitive at shards > 1 (see `FleetSummary`), so
         // a no-shared run's registry stays byte-stable.

@@ -112,19 +112,22 @@ pub enum GraphSource {
 }
 
 impl GraphSource {
-    /// Build (or load) the graph.
+    /// Build (or load) the graph. Parameters outside a generator's
+    /// preconditions or the `u32` id space are errors, not panics.
     pub fn build(&self) -> Result<Graph, String> {
+        self.check()?;
+        let sized = |r: Result<Graph, ldc_graph::builder::BuildError>| r.map_err(|e| e.to_string());
         Ok(match self {
-            GraphSource::Ring { n } => generators::ring(*n),
+            GraphSource::Ring { n } => sized(generators::try_ring(*n))?,
             GraphSource::Path { n } => generators::path(*n),
-            GraphSource::Complete { n } => generators::complete(*n),
+            GraphSource::Complete { n } => sized(generators::try_complete(*n))?,
             GraphSource::Torus { rows, cols } => generators::torus(*rows, *cols),
             GraphSource::Regular { n, d, seed } => generators::random_regular(*n, *d, *seed),
             GraphSource::Gnp { n, p_milli, seed } => {
-                generators::gnp(*n, *p_milli as f64 / 1000.0, *seed)
+                sized(generators::try_gnp(*n, *p_milli as f64 / 1000.0, *seed))?
             }
             GraphSource::Multipartite { parts, size } => {
-                generators::complete_multipartite(*parts, *size)
+                sized(generators::try_complete_multipartite(*parts, *size))?
             }
             GraphSource::Tree { n, arity } => generators::complete_tree(*n, *arity),
             GraphSource::Hypercube { dim } => generators::hypercube(*dim),
@@ -136,6 +139,37 @@ impl GraphSource {
                 io::read_edge_list(std::io::BufReader::new(f)).map_err(|e| e.to_string())?
             }
         })
+    }
+
+    /// The generator's preconditions on its parameters. [`Self::from_json`]
+    /// checks them, so a spec file or daemon request that breaks one is a
+    /// typed parse error; [`Self::build`] checks them again for sources
+    /// constructed in code.
+    fn check(&self) -> Result<(), String> {
+        match *self {
+            GraphSource::Ring { n } if n < 3 => Err(format!("ring needs n >= 3, got {n}")),
+            GraphSource::Torus { rows, cols } if rows < 3 || cols < 3 => Err(format!(
+                "torus needs rows >= 3 and cols >= 3, got {rows}x{cols}"
+            )),
+            GraphSource::Regular { n, d, .. }
+                if d >= n || n.checked_mul(d).map_or(true, |nd| nd % 2 == 1) =>
+            {
+                Err(format!(
+                    "regular needs d < n and n*d even, got n = {n}, d = {d}"
+                ))
+            }
+            GraphSource::Gnp { p_milli, .. } if p_milli > 1000 => Err(format!(
+                "gnp needs p_milli <= 1000 (a probability), got {p_milli}"
+            )),
+            GraphSource::Tree { arity: 0, .. } => Err("tree needs arity >= 1".into()),
+            GraphSource::Hypercube { dim } if !(1..=24).contains(&dim) => {
+                Err(format!("hypercube needs 1 <= dim <= 24, got {dim}"))
+            }
+            GraphSource::Powerlaw { n, m, .. } if m == 0 || n <= m => {
+                Err(format!("powerlaw needs n > m >= 1, got n = {n}, m = {m}"))
+            }
+            _ => Ok(()),
+        }
     }
 
     /// Cache key: an FNV-1a hash of the canonical JSON spec, so two jobs
@@ -193,7 +227,7 @@ impl GraphSource {
             .ok_or("graph family is not a string")?;
         let n =
             || -> Result<usize, String> { Ok(v.require("n")?.as_u64().ok_or("bad n")? as usize) };
-        Ok(match fam {
+        let src = match fam {
             "ring" => GraphSource::Ring { n: n()? },
             "path" => GraphSource::Path { n: n()? },
             "complete" => GraphSource::Complete { n: n()? },
@@ -220,7 +254,11 @@ impl GraphSource {
                 arity: v.require("arity")?.as_u64().ok_or("bad arity")? as usize,
             },
             "hypercube" => GraphSource::Hypercube {
-                dim: v.require("dim")?.as_u64().ok_or("bad dim")? as u32,
+                dim: v
+                    .require("dim")?
+                    .as_u64()
+                    .and_then(|d| u32::try_from(d).ok())
+                    .ok_or("bad dim")?,
             },
             "powerlaw" => GraphSource::Powerlaw {
                 n: n()?,
@@ -231,7 +269,9 @@ impl GraphSource {
                 path: v.require("path")?.as_str().ok_or("bad path")?.to_string(),
             },
             other => return Err(format!("unknown graph family {other:?}")),
-        })
+        };
+        src.check()?;
+        Ok(src)
     }
 }
 

@@ -10,14 +10,11 @@
 //!   symmetric verdict memo and the popcount intersection carry the
 //!   verification rounds.
 //! - `dense_multipartite` — few shared types (same-part nodes share their
-//!   init color *and* list): the select memo collapses per-node work to
-//!   per-type work.
+//!   init color *and* list, and select in the same batch): the in-batch
+//!   select dedup collapses per-node work to per-type work.
 //! - `dense_gnp`         — dense random graph, per-node lists.
 //! - `many_types_adversarial` — all-distinct lists and init colors; the
-//!   cache can only intern, so this row bounds its overhead. An extra
-//!   `cached_cap64` row reruns it with `list_capacity = 64`, showing the
-//!   intern bound evicting (the `evictions` column) without changing the
-//!   output.
+//!   select dedup never hits, so this row bounds its overhead.
 //!
 //! The warm-up solves double as the correctness gate: cached and
 //! reference colors must be **byte-identical** — at every swept thread
@@ -175,7 +172,6 @@ struct Case {
     node_steps_per_sec: f64,
     select_hit_pct: f64,
     conflict_hit_pct: f64,
-    evictions: u64,
 }
 
 /// Time `samples` solves of `w` under `cfg` and append the row.
@@ -220,7 +216,6 @@ fn bench_case(
         node_steps_per_sec: steps / median,
         select_hit_pct: hit_pct(kernels.select_calls, kernels.select_misses),
         conflict_hit_pct: hit_pct(kernels.conflict_calls, kernels.conflict_misses),
-        evictions: kernels.evictions,
     });
 }
 
@@ -317,35 +312,6 @@ fn main() {
             &out_ref.stats.kernels,
             slots,
         );
-
-        // The intern bound at work: rerun the adversarial workload with a
-        // small list capacity. Output is unchanged (the reset only drops
-        // memo state); the row's evictions column is the demonstration.
-        if w.name.starts_with("many_types") {
-            let cfg = KernelConfig::default().with_list_capacity(64);
-            let (out_cap, rounds_cap, _) = run_solve(w, &cfg);
-            assert_eq!(
-                out_cap.colors, out_fast.colors,
-                "{}: capped intern store changed the coloring",
-                w.name
-            );
-            assert_eq!(rounds_cap, rounds, "{}: capped rounds diverged", w.name);
-            assert!(
-                out_cap.stats.kernels.evictions > 0,
-                "{}: capacity 64 over all-distinct lists must evict",
-                w.name
-            );
-            bench_case(
-                &mut cases,
-                w,
-                &cfg,
-                "cached_cap64",
-                rounds,
-                samples,
-                &out_cap.stats.kernels,
-                slots,
-            );
-        }
     }
 
     // Persist the trajectory point (same layout as BENCH_engine.json, so
@@ -367,7 +333,7 @@ fn main() {
     out.push_str("  \"cases\": [\n");
     for (i, c) in cases.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"workload\": {}, \"mode\": {}, \"threads\": {}, \"nodes\": {}, \"slots\": {}, \"rounds\": {}, \"median_secs\": {:.6}, \"node_steps_per_sec\": {:.0}, \"select_hit_pct\": {:.1}, \"conflict_hit_pct\": {:.1}, \"evictions\": {}}}{}\n",
+            "    {{\"workload\": {}, \"mode\": {}, \"threads\": {}, \"nodes\": {}, \"slots\": {}, \"rounds\": {}, \"median_secs\": {:.6}, \"node_steps_per_sec\": {:.0}, \"select_hit_pct\": {:.1}, \"conflict_hit_pct\": {:.1}}}{}\n",
             json_string(&c.name),
             json_string(c.mode),
             c.threads,
@@ -378,7 +344,6 @@ fn main() {
             c.node_steps_per_sec,
             c.select_hit_pct,
             c.conflict_hit_pct,
-            c.evictions,
             if i + 1 < cases.len() { "," } else { "" }
         ));
     }

@@ -51,6 +51,16 @@ pub enum ClassicError {
     /// in the round the reduction scheduled it for (a crashed or
     /// sleeping node).
     Undecided(NodeId),
+    /// A list-coloring input gave `node` no more colors than its degree,
+    /// so its neighbors could take every one of them.
+    ListTooShort {
+        /// The node with the short list.
+        node: NodeId,
+        /// Its list length.
+        len: usize,
+        /// Its degree.
+        degree: usize,
+    },
 }
 
 impl From<SimError> for ClassicError {
@@ -65,6 +75,10 @@ impl std::fmt::Display for ClassicError {
             ClassicError::Sim(e) => write!(f, "simulation error: {e}"),
             ClassicError::Improper(e) => write!(f, "color reduction lost properness: {e}"),
             ClassicError::Undecided(v) => write!(f, "node {v} never decided its color"),
+            ClassicError::ListTooShort { node, len, degree } => write!(
+                f,
+                "list of node {node} too short: {len} colors for degree {degree}"
+            ),
         }
     }
 }

@@ -205,8 +205,10 @@ pub fn kw_reduce_to_delta_plus_one(
 /// with a Linial initialization this is the classic `O(Δ² + log* n)`
 /// deterministic baseline that experiment E6 compares Theorem 1.4 against.
 ///
-/// A node that a fault plan keeps from acting in its class round (crashed
-/// or asleep) never decides; that is reported as
+/// A node whose list is not longer than its degree is reported as
+/// [`ClassicError::ListTooShort`] (the lowest such node) before any round
+/// runs. A node that a fault plan keeps from acting in its class round
+/// (crashed or asleep) never decides; that is reported as
 /// [`ClassicError::Undecided`] for the lowest such node.
 pub fn class_iteration_list_coloring(
     net: &mut Network<'_>,
@@ -215,11 +217,12 @@ pub fn class_iteration_list_coloring(
 ) -> Result<Vec<u64>, ClassicError> {
     let g = net.graph();
     assert_eq!(lists.len(), g.num_nodes());
-    for v in g.nodes() {
-        assert!(
-            lists[v as usize].len() > g.degree(v),
-            "list of node {v} too short"
-        );
+    if let Some(node) = g.nodes().find(|&v| lists[v as usize].len() <= g.degree(v)) {
+        return Err(ClassicError::ListTooShort {
+            node,
+            len: lists[node as usize].len(),
+            degree: g.degree(node),
+        });
     }
 
     #[derive(Clone)]
@@ -352,6 +355,24 @@ mod tests {
         }
         // Rounds ≈ log* n + m (the Θ(Δ²) baseline cost).
         assert!(net.rounds() as u64 >= lin.palette_size());
+    }
+
+    #[test]
+    fn class_iteration_rejects_short_lists() {
+        let g = generators::complete(6);
+        let mut net = Network::new(&g, Bandwidth::Local);
+        let id = ldc_graph::ProperColoring::by_id(&g);
+        let mut lists: Vec<Vec<u64>> = vec![(0..6).collect(); 6];
+        lists[3].truncate(5); // degree 5 needs 6 colors
+        assert_eq!(
+            class_iteration_list_coloring(&mut net, &id, &lists),
+            Err(ClassicError::ListTooShort {
+                node: 3,
+                len: 5,
+                degree: 5
+            })
+        );
+        assert_eq!(net.rounds(), 0, "rejected before any round");
     }
 
     #[test]

@@ -168,6 +168,10 @@ impl From<ClassicError> for CoreError {
             ClassicError::Sim(e) => CoreError::Sim(e),
             ClassicError::Improper(e) => CoreError::Improper(e),
             ClassicError::Undecided(node) => CoreError::Undecided { node },
+            ClassicError::ListTooShort { node, len, degree } => CoreError::Precondition {
+                node,
+                detail: format!("class iteration needs more than {degree} list colors, got {len}"),
+            },
         }
     }
 }

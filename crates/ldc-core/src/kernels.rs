@@ -18,22 +18,21 @@
 //! * [`conflict_weight_at_least`] — the general `g ≥ 0` conflict test as a
 //!   two-pointer merge that exits as soon as the running weight reaches
 //!   `τ` (the exact weight above the threshold is never needed).
-//! * [`TypeCache`] — a per-solve memo: color lists are interned by
-//!   fingerprint (collision-checked, so a hash collision can only cost a
-//!   missed hit, never a wrong answer), `SeededSubset::select` runs once
-//!   per `(init_color, list, k, attempt)` type, and pairwise
-//!   `τ&g`-conflict verdicts are cached per unordered candidate-set pair.
-//!   Candidate sets produced by the cache are shared `Arc`s, so a set's
-//!   address is a stable identity for the lifetime of the solve (the
-//!   cache holds every `Arc` it ever returned) and both the packed-set
+//! * [`TypeCache`] — a per-solve memo: `SeededSubset::select` runs once
+//!   per distinct `(init_color, k, attempt, list)` request within one
+//!   [`TypeCache::select_batch`] call (requests compare by content), and
+//!   pairwise `τ&g`-conflict verdicts are cached per unordered
+//!   candidate-set pair for the whole solve. Candidate sets are shared
+//!   `Arc`s and the cache pins every set it packs, so a set's address is
+//!   a stable identity for the lifetime of the solve; both the packed-set
 //!   table and the verdict table key on it.
 //!
 //! * One batched API ([`TypeCache::select_batch`],
 //!   [`TypeCache::conflict_batch`], [`TypeCache::best_color_batch`]) that
 //!   fans the *pure* miss computations out over the `ldc_sim::pool`
-//!   workers and publishes results in request order — byte-identical to
-//!   issuing the requests one at a time, at every thread count — plus
-//!   [`TypeCache::prune`], Theorem 1.1's per-node Phase I pruning.
+//!   workers and publishes results in request order, so results and stats
+//!   are identical at every thread count — plus [`TypeCache::prune`],
+//!   Theorem 1.1's per-node Phase I pruning.
 //! * [`SharedTypeCache`] — an optional fleet-wide layer behind a sharded
 //!   lock map: selections and conflict verdicts interned by *content*
 //!   keys (strategy seed, list/set bytes, thresholds), so same-shaped
@@ -49,7 +48,7 @@
 //! two modes (`tests/kernels.rs`).
 
 use crate::conflict::{mu_g, tau_g_conflict};
-use crate::cover::{list_fingerprint, SeededSubset};
+use crate::cover::SeededSubset;
 use crate::problem::Color;
 use ldc_sim::pool::{pool_execute, DisjointChunks, MAX_CHUNKS};
 use std::collections::HashMap;
@@ -229,10 +228,10 @@ pub fn psi_g_fast(k1: &[Vec<Color>], k2: &[Vec<Color>], tau_prime: u64, tau: u64
 
 /// Hit/miss accounting of a [`TypeCache`].
 ///
-/// The call/miss/distinct/eviction counters are deterministic — pure
-/// functions of the instance and the request sequence, so they byte-diff
-/// across runs, thread counts, and with the shared cache on or off
-/// (experiment E18 tabulates them). `shared_hits` / `shared_misses`
+/// The call/miss/distinct counters are deterministic — pure functions
+/// of the instance and the request sequence, so they byte-diff across
+/// runs, thread counts, and with the shared cache on or off (experiment
+/// E18 tabulates them). `shared_hits` / `shared_misses`
 /// split the same private misses by whether the fleet-shared cache
 /// resolved them; that split depends on job scheduling once fleet shards
 /// overlap, so it is kept out of byte-diffed artifacts.
@@ -246,11 +245,11 @@ pub struct KernelStats {
     pub conflict_calls: u64,
     /// Verdicts actually computed.
     pub conflict_misses: u64,
-    /// Distinct interned `(list)` types seen.
-    pub distinct_lists: u64,
     /// Distinct candidate sets packed.
     pub distinct_sets: u64,
-    /// Interned lists dropped by capacity-bound epoch resets.
+    /// Always 0: nothing in `ldc-core` writes it (the select memo has no
+    /// capacity bound to evict from). Kept because the end-to-end
+    /// benchmark in `e2ebench/` reads it.
     pub evictions: u64,
     /// Private misses resolved from the fleet-shared cache
     /// (scheduling-dependent; see the struct docs).
@@ -268,7 +267,6 @@ impl KernelStats {
         self.select_misses += other.select_misses;
         self.conflict_calls += other.conflict_calls;
         self.conflict_misses += other.conflict_misses;
-        self.distinct_lists += other.distinct_lists;
         self.distinct_sets += other.distinct_sets;
         self.evictions += other.evictions;
         self.shared_hits += other.shared_hits;
@@ -276,14 +274,10 @@ impl KernelStats {
     }
 }
 
-/// Key of a memoized selection: the node type `(init_color, list)` —
-/// with the list replaced by its interned id — plus `(k, attempt)`.
-type SelectKey = (u64, u32, u64, u32);
-
 /// Deterministic FxHash-style hasher for the kernel maps. The shared
 /// cache must pick the same shard for the same key in every process (so
-/// no `RandomState`), and the per-call memo probes are small fixed-shape
-/// keys where SipHash costs more than the bucket walk it guards.
+/// no `RandomState`), and the per-batch probes are keys where SipHash
+/// costs more than the bucket walk it guards.
 #[derive(Default)]
 pub struct DetHasher(u64);
 
@@ -292,8 +286,14 @@ impl Hasher for DetHasher {
         self.0
     }
 
+    /// Whole words go through [`Self::write_u64`]: keys hash color lists
+    /// (`[u64]` hashes as one byte slice), so this is the per-color cost.
     fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.write_u64(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+        }
+        for &b in words.remainder() {
             self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
         }
     }
@@ -316,20 +316,15 @@ impl Hasher for DetHasher {
 /// Hash map with deterministic, cross-process-stable hashing.
 type DetMap<K, V> = HashMap<K, V, BuildHasherDefault<DetHasher>>;
 
-/// Default bound on interned lists per [`TypeCache`]: generous enough
-/// that no benchmark workload short of the adversarial all-distinct-lists
-/// one ever trips it, small enough that a long fleet run cannot leak.
-pub const DEFAULT_LIST_CAPACITY: usize = 1 << 15;
-
 /// Work threshold (in total color slots) below which a batched kernel
 /// phase runs inline — the same idiom as the engine's slots-per-chunk
 /// constant: fan-out only pays once a phase carries real volume.
 const PAR_WORK_THRESHOLD: u64 = 1 << 15;
 
 /// How a solve runs its kernels: implementation mode, worker threads for
-/// the batched phases, the interned-list capacity bound, and an optional
-/// fleet-shared cache. `KernelConfig::from(mode)` reproduces the
-/// historical sequential, private-cache behavior exactly.
+/// the batched phases, and an optional fleet-shared cache.
+/// `KernelConfig::from(mode)` reproduces the historical sequential,
+/// private-cache behavior exactly.
 #[derive(Debug, Clone)]
 pub struct KernelConfig {
     /// Kernel implementations (fast vs. reference).
@@ -337,9 +332,6 @@ pub struct KernelConfig {
     /// Worker threads for the batched kernel phases (1 = sequential; the
     /// outputs are byte-identical at every value).
     pub threads: usize,
-    /// Interned-list capacity; reaching it triggers a deterministic
-    /// epoch reset (see [`TypeCache`]).
-    pub list_capacity: usize,
     /// Fleet-shared kernel cache, if any.
     pub shared: Option<Arc<SharedTypeCache>>,
 }
@@ -349,7 +341,6 @@ impl Default for KernelConfig {
         KernelConfig {
             mode: KernelMode::default(),
             threads: 1,
-            list_capacity: DEFAULT_LIST_CAPACITY,
             shared: None,
         }
     }
@@ -368,12 +359,6 @@ impl KernelConfig {
     /// Set the worker-thread count for the batched phases.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Set the interned-list capacity bound.
-    pub fn with_list_capacity(mut self, cap: usize) -> Self {
-        self.list_capacity = cap.max(1);
         self
     }
 
@@ -432,10 +417,9 @@ struct SharedShard {
 ///
 /// The shared layer never alters private [`KernelStats`] accounting: a
 /// shared hit still counts as a private miss (only the recomputation is
-/// skipped and the result is installed into the private memo), so every
-/// per-job stat row byte-matches with the shared cache on or off. Only
-/// the `shared_hits` / `shared_misses` split — and this cache's own
-/// [`SharedCacheStats`] — reveal sharing, and those are
+/// skipped), so every per-job stat row byte-matches with the shared cache
+/// on or off. Only the `shared_hits` / `shared_misses` split — and this
+/// cache's own [`SharedCacheStats`] — reveal sharing, and those are
 /// scheduling-dependent once fleet shards overlap in time.
 pub struct SharedTypeCache {
     shards: Vec<Mutex<SharedShard>>,
@@ -570,17 +554,8 @@ pub struct TypeCache {
     g: u64,
     /// Worker threads for the batched phases (1 = always inline).
     threads: usize,
-    /// Interned-list capacity; reaching it resets the list epoch.
-    list_capacity: usize,
-    /// Bumped on every capacity-bound epoch reset.
-    list_epoch: u64,
     /// Fleet-shared cache, consulted on private misses.
     shared: Option<Arc<SharedTypeCache>>,
-    /// fingerprint → interned list ids with that fingerprint (equality is
-    /// verified on lookup, so collisions cannot alias two types).
-    list_ids: HashMap<u64, Vec<u32>>,
-    list_store: Vec<Arc<[Color]>>,
-    select_memo: HashMap<SelectKey, Arc<[Color]>>,
     /// `Arc` address → packed id. Valid because `arcs` pins every interned
     /// allocation for the cache's lifetime.
     packed_ids: HashMap<usize, u32>,
@@ -597,7 +572,7 @@ pub struct TypeCache {
 
 impl TypeCache {
     /// A cache for one solve under `(strategy, τ, g)`, run as `cfg` says
-    /// (mode, threads, list capacity, shared cache).
+    /// (mode, threads, shared cache).
     pub fn new(strategy: SeededSubset, tau: u64, g: u64, cfg: &KernelConfig) -> Self {
         TypeCache {
             mode: cfg.mode,
@@ -605,12 +580,7 @@ impl TypeCache {
             tau,
             g,
             threads: cfg.threads.max(1),
-            list_capacity: cfg.list_capacity.max(1),
-            list_epoch: 0,
             shared: cfg.shared.clone(),
-            list_ids: HashMap::new(),
-            list_store: Vec::new(),
-            select_memo: HashMap::new(),
             packed_ids: HashMap::new(),
             packed: Vec::new(),
             arcs: Vec::new(),
@@ -755,37 +725,6 @@ impl TypeCache {
         best
     }
 
-    /// Interning of a color list (by contents, not address): fingerprint
-    /// lookup plus an equality check against every stored list sharing the
-    /// fingerprint.
-    fn intern_list(&mut self, list: &[Color]) -> u32 {
-        let fp = list_fingerprint(list);
-        if let Some(bucket) = self.list_ids.get(&fp) {
-            for &id in bucket.iter() {
-                if *self.list_store[id as usize] == *list {
-                    return id;
-                }
-            }
-        }
-        // A new list at the capacity bound resets the list epoch: the
-        // interned lists, their fingerprint buckets, and the select memo
-        // (its keys embed list ids) are dropped together. The reset is a
-        // pure function of the interning sequence, so thread counts and
-        // shared-cache state cannot change when it fires.
-        if self.list_store.len() >= self.list_capacity {
-            self.stats.evictions += self.list_store.len() as u64;
-            self.list_epoch += 1;
-            self.list_ids.clear();
-            self.list_store.clear();
-            self.select_memo.clear();
-        }
-        let id = self.list_store.len() as u32;
-        self.list_store.push(Arc::from(list));
-        self.list_ids.entry(fp).or_default().push(id);
-        self.stats.distinct_lists += 1;
-        id
-    }
-
     /// Chunk count for a batched phase over `items` units carrying `work`
     /// total color slots: 1 (inline) unless the configured thread count
     /// and the work volume justify fan-out.
@@ -832,92 +771,74 @@ impl TypeCache {
         })
     }
 
-    /// Candidate-set selection, memoized per `(type, k, attempt)`: every
-    /// result is byte-identical to `SeededSubset::select` on the request
-    /// (a pure function of exactly this key plus the shared seed).
+    /// Candidate-set selection for a batch of requests. Every result is
+    /// byte-identical to `SeededSubset::select` on its request (a pure
+    /// function of the request plus the shared seed), and results and
+    /// stats are identical at every thread count.
     ///
-    /// Results, stats, and memo state equal those of issuing the requests
-    /// one at a time in order, but the selections neither memo layer
-    /// holds are computed out-of-order across the worker pool and
-    /// published in queue order. Two requests with the same key cost one
-    /// computation and one miss, exactly as the second one-at-a-time
-    /// request would have hit the memo entry of the first.
+    /// `Fast` computes each distinct request (compared by content) once:
+    /// an in-batch duplicate returns the first occurrence's `Arc`, and the
+    /// two cost one miss. Nothing is remembered across calls. The distinct
+    /// requests the fleet-shared cache does not hold are computed out of
+    /// order across the worker pool and published in request order.
     pub fn select_batch(&mut self, reqs: &[SelectReq<'_>]) -> Vec<Arc<[Color]>> {
+        self.stats.select_calls += reqs.len() as u64;
         if self.mode == KernelMode::Reference {
-            self.stats.select_calls += reqs.len() as u64;
             self.stats.select_misses += reqs.len() as u64;
             return self.compute_selections(reqs);
         }
+        #[derive(Clone)]
         enum Slot {
             Done(Arc<[Color]>),
             Pending(u32),
         }
-        // Pass 1 (sequential, request order): count calls, intern lists,
-        // probe the private memo and the shared cache, queue the rest.
+        // Pass 1 (sequential, request order): fold duplicates onto their
+        // first occurrence, probe the shared cache, queue the rest.
         let mut slots: Vec<Slot> = Vec::with_capacity(reqs.len());
-        let mut pending: Vec<PendingSelect> = Vec::new();
-        let mut pending_of: DetMap<SelectKey, u32> = DetMap::default();
-        let mut epoch = self.list_epoch;
-        for r in reqs {
-            self.stats.select_calls += 1;
-            let list_id = self.intern_list(r.list);
-            if self.list_epoch != epoch {
-                // An epoch reset wiped the select memo; queued keys from
-                // the old epoch must not alias re-issued list ids, so the
-                // key → queue-index map restarts with the epoch (already
-                // queued computations still run and resolve their slots).
-                epoch = self.list_epoch;
-                pending_of.clear();
-            }
-            let key: SelectKey = (r.init_color, list_id, r.k as u64, r.attempt);
-            if let Some(set) = self.select_memo.get(&key) {
-                slots.push(Slot::Done(set.clone()));
-                continue;
-            }
-            if let Some(&pi) = pending_of.get(&key) {
-                slots.push(Slot::Pending(pi));
+        let mut first_of: DetMap<SelectReq<'_>, usize> = DetMap::default();
+        let mut queued: Vec<SelectReq<'_>> = Vec::new();
+        let mut shared_keys: Vec<SharedSelectKey> = Vec::new();
+        // One key `Arc` per distinct list: where every node holds the same
+        // palette, a copy per shared entry would pin a list per node.
+        let mut key_lists: DetMap<&[Color], Arc<[Color]>> = DetMap::default();
+        for (i, r) in reqs.iter().enumerate() {
+            let first = *first_of.entry(*r).or_insert(i);
+            if first != i {
+                slots.push(slots[first].clone());
                 continue;
             }
             self.stats.select_misses += 1;
-            let shared_key = if let Some(shared) = self.shared.clone() {
+            if let Some(shared) = &self.shared {
                 let skey: SharedSelectKey = (
                     self.strategy.seed,
                     r.init_color,
                     r.k as u64,
                     r.attempt,
-                    self.list_store[list_id as usize].clone(),
+                    key_lists
+                        .entry(r.list)
+                        .or_insert_with(|| Arc::from(r.list))
+                        .clone(),
                 );
                 if let Some(set) = shared.select_get(&skey) {
                     self.stats.shared_hits += 1;
-                    self.select_memo.insert(key, set.clone());
-                    slots.push(Slot::Done(set));
+                    // A private copy: packed-set ids key on `Arc`
+                    // addresses, so a set another batch also got from the
+                    // shared cache must not alias it — otherwise verdict
+                    // accounting would depend on the shared cache.
+                    slots.push(Slot::Done(Arc::from(&set[..])));
                     continue;
                 }
                 self.stats.shared_misses += 1;
-                Some(skey)
-            } else {
-                None
-            };
-            pending_of.insert(key, pending.len() as u32);
-            slots.push(Slot::Pending(pending.len() as u32));
-            pending.push(PendingSelect {
-                key,
-                epoch,
-                req: *r,
-                shared_key,
-            });
+                shared_keys.push(skey);
+            }
+            slots.push(Slot::Pending(queued.len() as u32));
+            queued.push(*r);
         }
         // Pass 2 (parallel): compute the queued selections.
-        let queued: Vec<SelectReq<'_>> = pending.iter().map(|p| p.req).collect();
         let computed = self.compute_selections(&queued);
-        // Pass 3 (sequential, queue order): publish. Entries queued
-        // before an epoch reset are not re-inserted into the memo — the
-        // sequential loop would have inserted and then wiped them.
-        for (p, set) in pending.into_iter().zip(computed.iter()) {
-            if p.epoch == self.list_epoch {
-                self.select_memo.insert(p.key, set.clone());
-            }
-            if let (Some(skey), Some(shared)) = (p.shared_key, self.shared.as_ref()) {
+        // Pass 3 (sequential, queue order): publish to the shared cache.
+        if let Some(shared) = &self.shared {
+            for (skey, set) in shared_keys.into_iter().zip(&computed) {
                 shared.select_put(skey, set.clone());
             }
         }
@@ -1119,8 +1040,9 @@ fn reference_best_color(
 }
 
 /// One request of a batched candidate-set selection
-/// ([`TypeCache::select_batch`]).
-#[derive(Debug, Clone, Copy)]
+/// ([`TypeCache::select_batch`]). Equality and hashing go by content; that
+/// is the key of `select_batch`'s in-batch dedup.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SelectReq<'a> {
     /// The node type's initial color.
     pub init_color: u64,
@@ -1130,16 +1052,6 @@ pub struct SelectReq<'a> {
     pub k: usize,
     /// Retry attempt.
     pub attempt: u32,
-}
-
-/// A queued selection of [`TypeCache::select_batch`]: the request itself
-/// (its list borrows the caller's slice, so it stays valid even if an
-/// epoch reset recycles the list's id) plus what publishing needs.
-struct PendingSelect<'a> {
-    key: SelectKey,
-    epoch: u64,
-    req: SelectReq<'a>,
-    shared_key: Option<SharedSelectKey>,
 }
 
 /// A queued verdict of [`TypeCache::conflict_batch`].
@@ -1307,32 +1219,38 @@ mod tests {
     fn cache_select_is_byte_identical_and_memoized() {
         let strategy = SeededSubset { seed: 99 };
         let list: Vec<u64> = (0..200).map(|i| i * 5).collect();
+        // A content-equal copy: duplicates are found by content, not by
+        // address.
+        let copy = list.clone();
         let want = strategy.select(7, &list, 12, 0);
         for mode in MODES {
             for threads in THREADS {
                 let tag = format!("{mode:?} t={threads}");
                 let mut cache = TypeCache::new(strategy, 4, 0, &cfg(mode, threads));
-                let a1 = select_one(&mut cache, req(7, &list, 12, 0));
-                let a2 = select_one(&mut cache, req(7, &list, 12, 0));
-                assert_eq!(&a1[..], &want[..], "{tag}");
-                assert_eq!(a1, a2, "{tag}");
-                assert_eq!(cache.stats.select_calls, 2, "{tag}");
-                // An in-batch duplicate costs what a second call costs.
-                let dup = cache.select_batch(&[req(7, &list, 12, 0), req(7, &list, 12, 0)]);
-                assert_eq!(cache.stats.select_calls, 4, "{tag}");
+                let got = cache.select_batch(&[
+                    req(7, &list, 12, 0),
+                    req(7, &copy, 12, 0),
+                    req(7, &list, 12, 1),
+                ]);
+                assert!(got[..2].iter().all(|s| s[..] == want[..]), "{tag}");
+                assert_eq!(got[2][..], strategy.select(7, &list, 12, 1)[..], "{tag}");
+                assert_eq!(cache.stats.select_calls, 3, "{tag}");
                 if mode == KernelMode::Fast {
                     assert!(
-                        Arc::ptr_eq(&a1, &a2),
-                        "{tag}: memo hit returns the same Arc"
+                        Arc::ptr_eq(&got[0], &got[1]),
+                        "{tag}: an in-batch duplicate returns the same Arc"
                     );
-                    assert!(dup.iter().all(|d| Arc::ptr_eq(d, &a1)), "{tag}");
-                    assert_eq!(cache.stats.select_misses, 1, "{tag}");
+                    assert_eq!(cache.stats.select_misses, 2, "{tag}");
                 } else {
                     assert_eq!(
-                        cache.stats.select_misses, 4,
+                        cache.stats.select_misses, 3,
                         "{tag}: reference never memoizes"
                     );
                 }
+                // Nothing carries over to the next batch.
+                select_one(&mut cache, req(7, &list, 12, 0));
+                let misses = if mode == KernelMode::Fast { 3 } else { 4 };
+                assert_eq!(cache.stats.select_misses, misses, "{tag}");
             }
         }
     }
@@ -1360,22 +1278,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn list_interning_is_collision_checked() {
-        let strategy = SeededSubset { seed: 1 };
-        let mut cache = TypeCache::new(strategy, 2, 0, &KernelConfig::default());
-        let l1: Vec<u64> = (0..50).collect();
-        let l2: Vec<u64> = (0..50).map(|i| i + 1).collect();
-        let a = cache.intern_list(&l1);
-        let b = cache.intern_list(&l2);
-        let c = cache.intern_list(&l1);
-        assert_ne!(a, b);
-        assert_eq!(a, c);
-        assert_eq!(cache.stats.distinct_lists, 2);
-    }
-
-    /// A batch of mixed-type requests spanning memo hits, in-batch
-    /// duplicates, and misses.
+    /// A batch of mixed-type requests, each issued twice in a row (an
+    /// in-batch duplicate).
     fn sample_reqs(lists: &[Vec<u64>]) -> Vec<SelectReq<'_>> {
         let mut reqs = Vec::new();
         for round in 0..3u64 {
@@ -1391,16 +1295,24 @@ mod tests {
     #[test]
     fn select_batch_matches_sequential_at_every_thread_count() {
         let strategy = SeededSubset { seed: 12 };
+        // Long enough lists that the distinct requests' work passes
+        // `PAR_WORK_THRESHOLD`, so t > 1 really fans out.
         let lists: Vec<Vec<u64>> = (0..6)
-            .map(|j| (0..120u64).map(|i| i * 3 + j).collect())
+            .map(|j| (0..2000u64).map(|i| i * 3 + j).collect())
             .collect();
         let reqs = sample_reqs(&lists);
         for mode in MODES {
             let mut seq = TypeCache::new(strategy, 4, 0, &cfg(mode, 1));
-            let expected: Vec<Arc<[u64]>> = reqs.iter().map(|&r| select_one(&mut seq, r)).collect();
+            let expected = seq.select_batch(&reqs);
             for (e, r) in expected.iter().zip(&reqs) {
                 let want = strategy.select(r.init_color, r.list, r.k, r.attempt);
                 assert_eq!(&e[..], &want[..], "{mode:?}");
+            }
+            if mode == KernelMode::Fast {
+                assert_eq!(seq.stats.select_misses * 2, seq.stats.select_calls);
+                for pair in expected.chunks(2) {
+                    assert!(Arc::ptr_eq(&pair[0], &pair[1]), "one Arc per duplicate");
+                }
             }
             for threads in THREADS {
                 let mut batch = TypeCache::new(strategy, 4, 0, &cfg(mode, threads));
@@ -1532,7 +1444,11 @@ mod tests {
         let b: Arc<[u64]> = Arc::from(&mk(&[2, 3, 5, 8, 13, 21, 34])[..]);
         let run = |cache: &mut TypeCache| {
             let s = select_one(cache, req(9, &list, 10, 0));
+            // The same selection in a later batch: with sharing on it is a
+            // shared hit, and must still be a set of its own.
+            let again = select_one(cache, req(9, &list, 10, 0));
             let v = conflict_one(cache, &a, &b);
+            conflict_one(cache, &s, &again);
             (s, v)
         };
         for mode in MODES {
@@ -1558,10 +1474,12 @@ mod tests {
                 // The deterministic counter stream is identical with sharing
                 // on or off: a shared hit is still a private miss.
                 for st in [first.stats, second.stats] {
-                    assert_eq!(st.select_calls, private.stats.select_calls, "{tag}");
-                    assert_eq!(st.select_misses, private.stats.select_misses, "{tag}");
-                    assert_eq!(st.conflict_calls, private.stats.conflict_calls, "{tag}");
-                    assert_eq!(st.conflict_misses, private.stats.conflict_misses, "{tag}");
+                    let private_part = KernelStats {
+                        shared_hits: 0,
+                        shared_misses: 0,
+                        ..st
+                    };
+                    assert_eq!(private_part, private.stats, "{tag}");
                 }
                 let snap = shared.snapshot();
                 if mode == KernelMode::Reference {
@@ -1571,73 +1489,16 @@ mod tests {
                 }
                 assert_eq!(
                     (first.stats.shared_hits, first.stats.shared_misses),
-                    (0, 2),
+                    (1, 3),
                     "{tag}"
                 );
                 assert_eq!(
                     (second.stats.shared_hits, second.stats.shared_misses),
-                    (2, 0),
+                    (4, 0),
                     "{tag}"
                 );
-                assert_eq!((snap.hits, snap.misses, snap.entries), (2, 2, 2), "{tag}");
+                assert_eq!((snap.hits, snap.misses, snap.entries), (5, 3, 3), "{tag}");
             }
-        }
-    }
-
-    #[test]
-    fn list_capacity_bound_evicts_deterministically() {
-        let strategy = SeededSubset { seed: 2 };
-        let lists: Vec<Vec<u64>> = (0..10)
-            .map(|j| (0..40u64).map(|i| i * 2 + j).collect())
-            .collect();
-        let mut cache = TypeCache::new(
-            strategy,
-            2,
-            0,
-            &KernelConfig::default().with_list_capacity(4),
-        );
-        for list in &lists {
-            let got = select_one(&mut cache, req(5, list, 8, 0));
-            assert_eq!(&got[..], &strategy.select(5, list, 8, 0)[..]);
-        }
-        // 10 distinct lists through a 4-slot store: resets at the 5th and
-        // 9th interning, dropping 4 lists each time.
-        assert_eq!(cache.stats.evictions, 8);
-        assert_eq!(cache.stats.select_misses, 10);
-        // Correctness survives the reset: a re-interned list still
-        // selects the same bytes (and re-misses, since the memo reset).
-        let again = select_one(&mut cache, req(5, &lists[0], 8, 0));
-        assert_eq!(&again[..], &strategy.select(5, &lists[0], 8, 0)[..]);
-
-        // A run that never reaches capacity reports zero evictions.
-        let mut roomy = TypeCache::new(strategy, 2, 0, &KernelConfig::default());
-        for list in &lists {
-            select_one(&mut roomy, req(5, list, 8, 0));
-        }
-        assert_eq!(roomy.stats.evictions, 0);
-    }
-
-    #[test]
-    fn select_batch_survives_mid_batch_epoch_reset() {
-        let strategy = SeededSubset { seed: 4 };
-        let lists: Vec<Vec<u64>> = (0..9)
-            .map(|j| (0..30u64).map(|i| i * 3 + j).collect())
-            .collect();
-        // Same list revisited across the reset boundary: ids recycle, so
-        // the queue map must not alias old and new keys.
-        let order = [0usize, 1, 2, 0, 3, 4, 5, 6, 0, 7, 8, 0];
-        let reqs: Vec<SelectReq<'_>> = order.iter().map(|&li| req(11, &lists[li], 6, 0)).collect();
-        for threads in THREADS {
-            let capped = cfg(KernelMode::Fast, threads).with_list_capacity(3);
-            let mut seq = TypeCache::new(strategy, 2, 0, &capped);
-            let expected: Vec<Arc<[u64]>> = reqs.iter().map(|&r| select_one(&mut seq, r)).collect();
-            assert!(seq.stats.evictions > 0, "the reset fires mid-batch");
-            let mut batch = TypeCache::new(strategy, 2, 0, &capped);
-            let got = batch.select_batch(&reqs);
-            for (g, e) in got.iter().zip(&expected) {
-                assert_eq!(&g[..], &e[..], "threads = {threads}");
-            }
-            assert_eq!(batch.stats, seq.stats, "threads = {threads}");
         }
     }
 }

@@ -310,9 +310,10 @@ pub fn solve_with_classes(
                 });
             }
             // Batched selection: requests gather in node order and resolve
-            // through `select_batch` — byte- and stats-identical to one
-            // request per node in order, at every thread count (misses are
-            // pure draws, computed in parallel, published in node order).
+            // through `select_batch` — each result equals
+            // `SeededSubset::select`, and results and stats are identical at
+            // every thread count (draws run in parallel and publish in node
+            // order; an in-batch duplicate type costs one miss).
             let sel_nodes: Vec<usize> = states
                 .iter()
                 .enumerate()

@@ -223,8 +223,8 @@ pub fn solve_single_defect(
                 attempts: MAX_SELECTION_ROUNDS,
             });
         }
-        // Batched selection (byte- and stats-identical to one request per
-        // node in node order — see `oldc`).
+        // Batched selection (results and stats identical at every thread
+        // count — see `oldc`).
         let sel_nodes: Vec<usize> = states
             .iter()
             .enumerate()

@@ -211,8 +211,8 @@ fn cached_solve_oldc_is_byte_identical_uniform() {
 #[test]
 fn cached_solve_oldc_is_byte_identical_on_dense_multipartite() {
     // Few-types regime: same-part nodes share their list; the cache's
-    // select memo and verdict table should carry nearly all the work, and
-    // the outputs still must not move by a byte.
+    // in-batch select dedup and verdict table should carry nearly all the
+    // work, and the outputs still must not move by a byte.
     let g = generators::complete_multipartite(8, 8);
     let space = 1u64 << 14;
     let lists: Vec<DefectList> = (0..64u64)

@@ -2,7 +2,7 @@
 //! invariance of the JSONL stream, graph-cache accounting, and fault
 //! roll-up arithmetic.
 
-use ldc::batch::{Algorithm, FaultSpec, Fleet, GraphSource, JobSpec, ListSpec};
+use ldc::batch::{parse_spec_file, Algorithm, FaultSpec, Fleet, GraphSource, JobSpec, ListSpec};
 use ldc::core::FaultStats;
 
 /// A mixed job list: repeated topologies, two algorithms, one faulted job.
@@ -129,6 +129,84 @@ fn jsonl_stream_is_byte_identical_across_shard_counts() {
         );
         assert_eq!(run.summary, baseline.summary);
     }
+}
+
+#[test]
+fn out_of_range_specs_are_typed_errors_not_panics() {
+    // Each spec breaks a generator precondition: parsing rejects it with a
+    // typed error, and the same source built in code (the fleet resolves
+    // graphs without the parser) gives an error row.
+    let bad_graphs = [
+        (
+            r#"{"family":"powerlaw","n":3,"m":3}"#,
+            GraphSource::Powerlaw {
+                n: 3,
+                m: 3,
+                seed: 1,
+            },
+        ),
+        (
+            r#"{"family":"gnp","n":10,"p_milli":5000}"#,
+            GraphSource::Gnp {
+                n: 10,
+                p_milli: 5000,
+                seed: 1,
+            },
+        ),
+        (r#"{"family":"ring","n":2}"#, GraphSource::Ring { n: 2 }),
+        (
+            r#"{"family":"regular","n":5,"d":3}"#,
+            GraphSource::Regular {
+                n: 5,
+                d: 3,
+                seed: 1,
+            },
+        ),
+        (
+            r#"{"family":"torus","rows":2,"cols":5}"#,
+            GraphSource::Torus { rows: 2, cols: 5 },
+        ),
+        (
+            r#"{"family":"hypercube","dim":0}"#,
+            GraphSource::Hypercube { dim: 0 },
+        ),
+        (
+            r#"{"family":"tree","n":5,"arity":0}"#,
+            GraphSource::Tree { n: 5, arity: 0 },
+        ),
+    ];
+    let mut jobs = Vec::new();
+    for (json, graph) in bad_graphs {
+        let err = parse_spec_file(&format!(r#"[{{"graph":{json}}}]"#)).expect_err(json);
+        assert!(
+            err.starts_with("job 0: ") && err.contains(" needs "),
+            "{err}"
+        );
+        jobs.push(JobSpec {
+            graph,
+            algorithm: Algorithm::Congest,
+            lists: ListSpec::default(),
+            seed: 1,
+            faults: None,
+        });
+    }
+    // Theorem 1.4's class-iteration branch on K₄₀ (degree 39) with 4-color
+    // lists: the spec parses, and the solve fails before its first class.
+    let short_lists = r#"[{"graph":{"family":"complete","n":40},"algorithm":"congest",
+        "lists":{"kind":"uniform","space":128,"len":4,"defect":0}}]"#;
+    jobs.extend(parse_spec_file(short_lists).expect("a well-formed spec"));
+
+    let run = Fleet::new(2).run(&jobs);
+    assert_eq!(run.summary.failed, jobs.len() as u64);
+    let (short, bad) = run.outcomes.split_last().expect("jobs ran");
+    for o in bad {
+        assert!(o.row.contains(r#""error":"graph: "#), "{}", o.row);
+    }
+    assert!(
+        short.row.contains("precondition violated at node 0"),
+        "{}",
+        short.row
+    );
 }
 
 #[test]
