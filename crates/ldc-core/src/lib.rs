@@ -42,6 +42,7 @@ pub mod oldc;
 pub mod params;
 pub mod problem;
 pub mod single_defect;
+mod steps;
 pub mod validate;
 
 pub use api::{FaultEnv, FaultStats, Resilient, ResilientReport, Solution, SolveOptions};

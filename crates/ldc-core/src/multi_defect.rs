@@ -7,10 +7,11 @@
 //! engine of §3.2 at the cost of the `h` factor in the list-size
 //! requirement (the factor Theorem 1.1 later improves to `polyloglog β`).
 
-use crate::ctx::{span, CoreError, OldcCtx};
+use crate::ctx::{CoreError, OldcCtx};
 use crate::kernels::KernelConfig;
 use crate::problem::{Color, DefectList};
 use crate::single_defect::{solve_single_defect, SingleDefectOutcome};
+use crate::steps;
 use ldc_sim::Network;
 
 /// Round `x` down to a power of two (`x ≥ 1`).
@@ -19,15 +20,10 @@ fn prev_pow2(x: u64) -> u64 {
     1u64 << (63 - x.leading_zeros())
 }
 
-/// Round `x` up to a power of two (`x ≥ 1`).
-fn next_pow2(x: u64) -> u64 {
-    x.next_power_of_two()
-}
-
-/// The bucket a color with defect `d` falls into for a node of (rounded)
-/// out-degree `beta_hat`: the rounded defect value `d̂` with `d̂+1` a power
-/// of two.
-fn rounded_defect(d: u64) -> u64 {
+/// The bucket a color with defect `d` falls into: the rounded defect value
+/// `d̂ ≤ d` with `d̂+1` a power of two (also the bucket key of Lemma 3.8;
+/// `d̂ ≤ d` keeps every guarantee valid for the original defects).
+pub(crate) fn rounded_defect(d: u64) -> u64 {
     prev_pow2(d + 1) - 1
 }
 
@@ -53,43 +49,15 @@ pub fn solve_multi_defect(
     g: u64,
     cfg: &KernelConfig,
 ) -> Result<MultiDefectOutcome, CoreError> {
-    let graph = ctx.view.graph();
-    let n = graph.num_nodes();
+    let n = ctx.view.graph().num_nodes();
     assert_eq!(lists.len(), n);
 
     // Census: the single-defect engine re-derives β itself, but the bucket
     // choice needs β too; we compute it the same way (one extra round).
-    let view = ctx.view;
-    let mut beta = vec![1u64; n];
-    {
-        let _census = net.tracer().clone().span(span::CENSUS);
-        let mut states: Vec<(bool, u64, u64)> = (0..n)
-            .map(|v| (ctx.active[v], ctx.group[v], 1u64))
-            .collect();
-        net.exchange(
-            &mut states,
-            |_, s, out: &mut ldc_sim::Outbox<'_, crate::ctx::CensusMsg>| {
-                if s.0 {
-                    out.broadcast(&crate::ctx::CensusMsg { group: s.1 });
-                }
-            },
-            |v, s, inbox| {
-                if !s.0 {
-                    return;
-                }
-                let mut b = 0u64;
-                for (p, m) in inbox.iter() {
-                    if m.group == s.1 && view.is_out_port(v, p) {
-                        b += 1;
-                    }
-                }
-                s.2 = b.max(1);
-            },
-        )?;
-        for (v, s) in states.iter().enumerate() {
-            beta[v] = s.2;
-        }
-    }
+    let beta: Vec<u64> = steps::out_counts(net, ctx)?
+        .into_iter()
+        .map(|c| c.max(1))
+        .collect();
 
     // Bucket choice (0 rounds): restrict each list to the rounded-defect
     // value with the largest square mass.
@@ -105,11 +73,10 @@ pub fn solve_multi_defect(
                 detail: "empty color list".into(),
             });
         }
-        let _beta_hat = next_pow2(beta[v]);
         // Colors whose defect already covers the whole out-degree go into a
         // "free" bucket keyed u64::MAX and keep their exact defects —
         // rounding them down could spuriously re-enter the non-trivial
-        // regime (cf. the trivial-node handling in `single_defect`).
+        // regime (a node whose defect covers its out-degree is trivial).
         let bucket_key = |d: u64| {
             if d >= beta[v] {
                 u64::MAX
@@ -182,7 +149,6 @@ mod tests {
         assert_eq!(prev_pow2(1), 1);
         assert_eq!(prev_pow2(5), 4);
         assert_eq!(prev_pow2(8), 8);
-        assert_eq!(next_pow2(5), 8);
         assert_eq!(rounded_defect(0), 0);
         assert_eq!(rounded_defect(2), 1);
         assert_eq!(rounded_defect(6), 3);

@@ -19,18 +19,22 @@
 //!    prune "bad" colors against lower-class candidate sets and select a
 //!    candidate set competing only *within* the class; descending classes
 //!    pick the final color by the frequency argument.
+//!
+//! Lemma 3.7 is the §3.2 engine plus pruning against lower classes: its
+//! census, selection and verification, trivial-first decisions and
+//! decision rounds are the engine's round steps (`steps`), called with
+//! Lemma 3.7's acting nodes, counted neighbors and budgets. Pruning,
+//! the laggards' Phase 0 set sizes and the laggard loop stay here.
 
 use crate::cover::SeededSubset;
-use crate::ctx::{span, CandidateMsg, CensusMsg, CoreError, DecisionMsg, OldcCtx};
-use crate::kernels::{DecisionBatch, KernelConfig, KernelStats, ListPair, SelectReq, TypeCache};
-use crate::multi_defect::solve_multi_defect;
+use crate::ctx::{span, CoreError, DecisionMsg, OldcCtx};
+use crate::kernels::{KernelConfig, KernelStats, TypeCache};
+use crate::multi_defect::{rounded_defect, solve_multi_defect};
 use crate::params::k_of_class;
 use crate::problem::{Color, DefectList};
+use crate::steps::{self, Announcement, Node, Port};
 use ldc_graph::NodeId;
 use ldc_sim::Network;
-use std::sync::Arc;
-
-const MAX_SELECTION_ROUNDS: u32 = 48;
 
 /// Per-node input to [`solve_with_classes`] (Lemma 3.7).
 #[derive(Debug, Clone, Default)]
@@ -55,33 +59,6 @@ pub struct OldcStats {
     pub kernels: KernelStats,
 }
 
-#[derive(Clone)]
-struct Ns {
-    active: bool,
-    group: u64,
-    init_color: u64,
-    class: u32,
-    defect: u64,
-    /// Unclamped count of active same-group out-neighbors.
-    out_count: u64,
-    /// Defect ≥ out_count: decide first, skip the machinery (see
-    /// `single_defect` for why this regime exists).
-    trivial: bool,
-    list: Vec<Color>,
-    k: usize,
-    attempt: u32,
-    cand: Option<Arc<[Color]>>,
-    failed: bool,
-    committed: bool,
-    nb_relevant: Vec<bool>,
-    nb_class: Vec<u32>,
-    nb_cand: Vec<Option<Arc<[Color]>>>,
-    nb_conflicting: Vec<bool>,
-    nb_decided: Vec<Option<Color>>,
-    decided: Option<Color>,
-    pruned: u64,
-}
-
 /// Lemma 3.7: solve a single-defect OLDC instance whose γ-classes have
 /// already been assigned (each node competes only with its own class, plus
 /// pruning against lower classes), in `O(h)` rounds.
@@ -102,69 +79,19 @@ pub fn solve_with_classes(
     inputs: &[ClassedInput],
     cfg: &KernelConfig,
 ) -> Result<(Vec<Option<Color>>, OldcStats), CoreError> {
-    let graph = ctx.view.graph();
-    let view = ctx.view;
-    let n = graph.num_nodes();
+    let n = ctx.view.graph().num_nodes();
     assert_eq!(inputs.len(), n);
     let tracer = net.tracer().clone();
-
-    let mut states: Vec<Ns> = graph
-        .nodes()
-        .map(|v| {
-            let vz = v as usize;
-            let deg = graph.degree(v);
-            Ns {
-                active: ctx.active[vz],
-                group: ctx.group[vz],
-                init_color: ctx.init[vz],
-                class: inputs[vz].class, // 0 = laggard (greedy by priority)
-                defect: inputs[vz].defect,
-                out_count: 0,
-                trivial: false,
-                list: inputs[vz].list.clone(),
-                k: 0,
-                attempt: 0,
-                cand: None,
-                failed: false,
-                committed: false,
-                nb_relevant: vec![false; deg],
-                nb_class: vec![0; deg],
-                nb_cand: vec![None; deg],
-                nb_conflicting: vec![false; deg],
-                nb_decided: vec![None; deg],
-                decided: None,
-                pruned: 0,
-            }
-        })
-        .collect();
+    let mut states = steps::nodes(ctx);
+    for (s, input) in states.iter_mut().zip(inputs) {
+        s.class = input.class; // 0 = laggard (greedy by priority)
+        s.defect = input.defect;
+        s.list = input.list.clone();
+    }
 
     // Census: relevance + neighbor classes (β itself is not needed here;
     // classes come preassigned).
-    let census_span = tracer.span(span::CENSUS);
-    net.exchange(
-        &mut states,
-        |_, s, out: &mut ldc_sim::Outbox<'_, (CensusMsg, u32)>| {
-            if s.active {
-                out.broadcast(&(CensusMsg { group: s.group }, s.class));
-            }
-        },
-        |v, s, inbox| {
-            if !s.active {
-                return;
-            }
-            for (p, (m, class)) in inbox.iter() {
-                if m.group == s.group {
-                    s.nb_relevant[p] = true;
-                    s.nb_class[p] = *class;
-                    if view.is_out_port(v, p) {
-                        s.out_count += 1;
-                    }
-                }
-            }
-            s.trivial = s.defect >= s.out_count;
-        },
-    )?;
-    drop(census_span);
+    steps::census(net, ctx, &mut states, true)?;
 
     let h = states
         .iter()
@@ -182,6 +109,9 @@ pub fn solve_with_classes(
     // is byte-identical to recomputation.
     let mut cache = TypeCache::new(strategy, tau, 0, cfg);
     let mut stats = OldcStats::default();
+    // Every candidate message declares β = 2^h.
+    let beta = |_: &Node| 1u64 << h;
+    let laggard = |s: &Node| s.active && !s.trivial && s.class == 0;
 
     // ---------------- Phase 0: laggard candidate sets. ----------------------
     // Laggards (class 0; see `solve_oldc`) decide *last*, so every regular
@@ -190,15 +120,10 @@ pub fn solve_with_classes(
     // a candidate set of the pigeonhole size ⌊out/(d̂+1)⌋+1 — small enough
     // that pruning costs regular neighbors only O(β_w) colors each — and
     // will pick their final color inside it.
-    if states
-        .iter()
-        .any(|s| s.active && !s.trivial && s.class == 0)
-    {
+    if states.iter().any(laggard) {
         let _phase0 = tracer.span(span::PHASE0);
-        let mut lag_nodes: Vec<usize> = Vec::new();
-        let mut lag_reqs: Vec<SelectReq<'_>> = Vec::new();
-        for (v, s) in states.iter().enumerate() {
-            if !(s.active && !s.trivial && s.class == 0) {
+        for (v, s) in states.iter_mut().enumerate() {
+            if !laggard(s) {
                 continue;
             }
             if (s.list.len() as u64) * (s.defect + 1) <= s.out_count {
@@ -212,82 +137,40 @@ pub fn solve_with_classes(
                     ),
                 });
             }
-            lag_nodes.push(v);
-            lag_reqs.push(SelectReq {
-                init_color: s.init_color,
-                list: &s.list,
-                k: (s.out_count / (s.defect + 1) + 1).min(s.list.len() as u64) as usize,
-                attempt: 0,
-            });
+            s.k = (s.out_count / (s.defect + 1) + 1).min(s.list.len() as u64) as usize;
         }
-        let lag_sets = cache.select_batch(&lag_reqs);
-        drop(lag_reqs);
-        for (&v, set) in lag_nodes.iter().zip(lag_sets) {
-            states[v].cand = Some(set);
-        }
-        net.exchange(
-            &mut states,
-            |_, s, out: &mut ldc_sim::Outbox<'_, CandidateMsg>| {
-                if s.active && !s.trivial && s.class == 0 {
-                    out.broadcast(&CandidateMsg {
-                        class: 0,
-                        group: s.group,
-                        set: s.cand.clone().expect("selected above"),
-                        declared_bits: CandidateMsg::type_bits(
-                            s.list.len() as u64,
-                            ctx.space,
-                            ctx.m,
-                            1 << h,
-                        ),
-                    });
-                }
-            },
-            |_, s, inbox| {
-                if !s.active {
-                    return;
-                }
-                for (p, m) in inbox.iter() {
-                    if m.group == s.group {
-                        s.nb_cand[p] = Some(m.set.clone());
-                        s.nb_class[p] = m.class;
-                    }
-                }
-            },
-        )?;
+        steps::select_and_announce(net, ctx, &mut cache, &mut states, laggard, beta)?;
     }
 
     // ---------------- Phase I: ascending classes. --------------------------
-    let mut first_failed: Option<usize> = None;
     for class in 1..=h {
         let _phase = tracer.span(span::phase_i(class));
+        let in_class = |s: &Node| s.active && !s.trivial && s.class == class;
         // Prune + size the candidate set for this class's nodes.
         for (v, s) in states.iter_mut().enumerate() {
-            if !(s.active && !s.trivial && s.class == class) {
+            if !in_class(s) {
                 continue;
             }
             // Bad colors: > d/4 lower-class out-neighbors already carry x in
             // their committed candidate set.
             let before = s.list.len();
-            let (nb_relevant, nb_class, nb_cand) = (&s.nb_relevant, &s.nb_class, &s.nb_cand);
             cache.prune(
                 &mut s.list,
                 s.defect / 4,
-                (0..nb_relevant.len())
-                    .filter(|&p| {
-                        nb_relevant[p] && view.is_out_port(v as NodeId, p) && nb_class[p] < class
-                    })
-                    .filter_map(|p| nb_cand[p].as_ref()),
+                s.nb.iter()
+                    .enumerate()
+                    .filter(|&(p, nb)| steps::out_port(ctx, v, p, nb) && nb.class < class)
+                    .filter_map(|(_, nb)| nb.cand.as_ref()),
             );
-            s.pruned = (before - s.list.len()) as u64;
-            stats.pruned_colors += s.pruned;
-            tracer.add(span::CTR_PRUNED_COLORS, s.pruned);
+            let pruned = (before - s.list.len()) as u64;
+            stats.pruned_colors += pruned;
+            tracer.add(span::CTR_PRUNED_COLORS, pruned);
             s.k = k_of_class(s.class, tau) as usize;
             if s.k > s.list.len() {
                 return Err(CoreError::Precondition {
                     node: v as NodeId,
                     detail: format!(
-                        "after pruning {} colors, {} remain but class {} needs k = {} (τ = {tau})",
-                        s.pruned,
+                        "after pruning {pruned} colors, {} remain but class {} needs k = {} (τ = {tau})",
                         s.list.len(),
                         s.class,
                         s.k
@@ -295,188 +178,25 @@ pub fn solve_with_classes(
                 });
             }
         }
-
-        // Selection + verification loop within the class.
-        let mut rounds = 0u32;
-        loop {
-            rounds += 1;
-            if rounds > MAX_SELECTION_ROUNDS {
-                // `first_failed` was tracked during the previous
-                // verification pass (satellite: no O(n) rescan here).
-                let node = first_failed.unwrap_or(0);
-                return Err(CoreError::SelectionExhausted {
-                    node: node as NodeId,
-                    attempts: MAX_SELECTION_ROUNDS,
-                });
-            }
-            // Batched selection: requests gather in node order and resolve
-            // through `select_batch` — each result equals
-            // `SeededSubset::select`, and results and stats are identical at
-            // every thread count (draws run in parallel and publish in node
-            // order; an in-batch duplicate type costs one miss).
-            let sel_nodes: Vec<usize> = states
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| {
-                    s.active && !s.trivial && s.class == class && (s.cand.is_none() || s.failed)
-                })
-                .map(|(v, _)| v)
-                .collect();
-            let sel_reqs: Vec<SelectReq<'_>> = sel_nodes
-                .iter()
-                .map(|&v| {
-                    let s = &states[v];
-                    SelectReq {
-                        init_color: s.init_color,
-                        list: &s.list,
-                        k: s.k,
-                        attempt: s.attempt,
-                    }
-                })
-                .collect();
-            let sel_sets = cache.select_batch(&sel_reqs);
-            drop(sel_reqs);
-            for (&v, set) in sel_nodes.iter().zip(sel_sets) {
-                states[v].cand = Some(set);
-                states[v].failed = false;
-            }
-            net.exchange(
-                &mut states,
-                |_, s, out: &mut ldc_sim::Outbox<'_, CandidateMsg>| {
-                    if s.active && !s.trivial && s.class == class {
-                        out.broadcast(&CandidateMsg {
-                            class: s.class,
-                            group: s.group,
-                            set: s.cand.clone().expect("selected above"),
-                            declared_bits: CandidateMsg::type_bits(
-                                s.list.len() as u64,
-                                ctx.space,
-                                ctx.m,
-                                1 << h,
-                            ),
-                        });
-                    }
-                },
-                |_, s, inbox| {
-                    if !s.active {
-                        return;
-                    }
-                    for (p, m) in inbox.iter() {
-                        if m.group == s.group {
-                            s.nb_cand[p] = Some(m.set.clone());
-                            s.nb_class[p] = m.class;
-                        }
-                    }
-                },
-            )?;
-            // Verification pass (outside the consume closure so the cache
-            // can memoize verdicts across nodes; pure local recomputation —
-            // rounds and message bits are untouched). The candidate `Arc`s
-            // received above are clones of cache-produced sets, so in Fast
-            // mode each unordered pair of distinct sets is checked once per
-            // solve instead of once per edge. The checked pairs gather in
-            // node/port order, resolve through `conflict_batch` (byte- and
-            // stats-identical to checking them one at a time), and the
-            // verdicts apply in the same order.
-            let mut pairs: Vec<ListPair> = Vec::new();
-            for (v, s) in states.iter().enumerate() {
-                if !s.active || s.trivial || s.class != class || s.committed {
-                    continue;
-                }
-                let cand = s.cand.as_ref().expect("selected above");
-                for p in 0..s.nb_relevant.len() {
-                    if !(s.nb_relevant[p]
-                        && view.is_out_port(v as NodeId, p)
-                        && s.nb_class[p] == class)
-                    {
-                        continue;
-                    }
-                    if let Some(cu) = &s.nb_cand[p] {
-                        pairs.push((cand.clone(), cu.clone()));
-                    }
-                }
-            }
-            let verdicts = cache.conflict_batch(&pairs);
-            let mut at = 0usize;
-            first_failed = None;
-            for (v, s) in states.iter_mut().enumerate() {
-                if !s.active || s.trivial || s.class != class || s.committed {
-                    continue;
-                }
-                let mut conflicts = 0u64;
-                for p in 0..s.nb_relevant.len() {
-                    s.nb_conflicting[p] = false;
-                    if !(s.nb_relevant[p]
-                        && view.is_out_port(v as NodeId, p)
-                        && s.nb_class[p] == class)
-                    {
-                        continue;
-                    }
-                    if s.nb_cand[p].is_some() {
-                        if verdicts[at] {
-                            s.nb_conflicting[p] = true;
-                            conflicts += 1;
-                        }
-                        at += 1;
-                    }
-                }
-                if conflicts > s.defect / 4 {
-                    s.failed = true;
-                    s.attempt += 1;
-                    first_failed.get_or_insert(v);
-                }
-            }
-            debug_assert_eq!(at, verdicts.len(), "gather/apply passes agree");
-            let failures = states
-                .iter()
-                .filter(|s| s.class == class && s.failed)
-                .count() as u64;
-            stats.selection_retries += failures;
-            tracer.add(span::CTR_SELECTION_RETRIES, failures);
-            if failures == 0 {
-                break;
-            }
-        }
-        for s in states.iter_mut() {
-            if s.active && s.class == class {
-                s.committed = true;
-            }
-        }
+        // Selection + verification within the class: at most ⌊d/4⌋
+        // conflicting same-class out-neighbors.
+        let same_class = |s: &Node, nb: &Port| nb.class == s.class;
+        let (retries, _) = steps::select_until_verified(
+            net,
+            ctx,
+            &mut cache,
+            &mut states,
+            in_class,
+            same_class,
+            4,
+            beta,
+        )?;
+        stats.selection_retries += retries;
     }
 
     // ---------------- Phase II: descending classes. -------------------------
     let phase2 = tracer.span(span::PHASE2);
-    let mut batch = DecisionBatch::new();
-    // Trivial nodes decide first (cf. `single_defect`).
-    if states.iter().any(|s| s.active && s.trivial) {
-        for s in states.iter_mut() {
-            if s.active && s.trivial {
-                s.decided = Some(*s.list.first().expect("non-empty list"));
-            }
-        }
-        net.exchange(
-            &mut states,
-            |_, s, out: &mut ldc_sim::Outbox<'_, DecisionMsg>| {
-                if s.active && s.trivial {
-                    out.broadcast(&DecisionMsg {
-                        color: s.decided.expect("decided above"),
-                        group: s.group,
-                        space: ctx.space,
-                    });
-                }
-            },
-            |_, s, inbox| {
-                if !s.active {
-                    return;
-                }
-                for (p, m) in inbox.iter() {
-                    if m.group == s.group {
-                        s.nb_decided[p] = Some(m.color);
-                    }
-                }
-            },
-        )?;
-    }
+    steps::decide_trivial(net, ctx, &mut states)?;
     for class in (1..=h).rev() {
         tracer.add(
             span::CTR_UNDECIDED_NODE_ROUNDS,
@@ -485,75 +205,14 @@ pub fn solve_with_classes(
                 .filter(|s| s.active && s.decided.is_none())
                 .count() as u64,
         );
-        // Batched decisions: jobs gather in node order (the packed-id
-        // interning inside `push_decision` is part of the deterministic
-        // stats stream), run through `best_color_batch`, and apply in node
-        // order — so the first stuck node matches the sequential scan.
-        let mut stuck: Option<(NodeId, u64, u64)> = None;
-        batch.clear();
-        let mut dec_nodes: Vec<usize> = Vec::new();
-        for (v, s) in states.iter().enumerate() {
-            if !(s.active && !s.trivial && s.class == class) {
-                continue;
-            }
-            dec_nodes.push(v);
-            cache.push_decision(
-                &mut batch,
-                s.cand.as_ref().expect("committed in Phase I"),
-                (0..s.nb_relevant.len()).filter_map(|p| {
-                    if !(s.nb_relevant[p] && view.is_out_port(v as NodeId, p)) {
-                        return None;
-                    }
-                    if let Some(c) = s.nb_decided[p] {
-                        Some((Some(c), None))
-                    } else if s.nb_class[p] == class && !s.nb_conflicting[p] {
-                        s.nb_cand[p].as_ref().map(|cu| (None, Some(cu)))
-                    } else {
-                        None
-                    }
-                    // Lower classes: covered by Phase I pruning;
-                    // conflicting same-class neighbors: covered by the d/4
-                    // budget.
-                }),
-            );
-        }
-        let results = cache.best_color_batch(&batch);
-        for (&v, best) in dec_nodes.iter().zip(results) {
-            let s = &mut states[v];
-            let (f, x) = best.expect("k ≥ 1 candidate colors");
-            if f > s.defect / 2 {
-                stuck.get_or_insert((v as NodeId, f, s.defect / 2));
-                continue;
-            }
-            s.decided = Some(x);
-        }
-        if let Some((node, best, budget)) = stuck {
-            return Err(CoreError::PigeonholeFailed { node, best, budget });
-        }
-        net.exchange(
-            &mut states,
-            |_, s, out: &mut ldc_sim::Outbox<'_, DecisionMsg>| {
-                if s.active && !s.trivial && s.class == class {
-                    out.broadcast(&DecisionMsg {
-                        color: s.decided.expect("decided above"),
-                        group: s.group,
-                        space: ctx.space,
-                    });
-                }
-            },
-            |_, s, inbox| {
-                if !s.active {
-                    return;
-                }
-                for (p, m) in inbox.iter() {
-                    if m.group == s.group {
-                        s.nb_decided[p] = Some(m.color);
-                    }
-                }
-            },
-        )?;
+        // Charged: decided out-neighbors and non-conflicting same-class
+        // candidate sets. Lower classes are covered by Phase I pruning,
+        // conflicting same-class neighbors by the d/4 budget.
+        let in_class = |s: &Node| s.active && !s.trivial && s.class == class;
+        let unconflicted = |s: &Node, nb: &Port| nb.class == s.class && !nb.conflicting;
+        steps::decide(ctx, &mut cache, &mut states, in_class, unconflicted, 2)?;
+        steps::announce::<DecisionMsg>(net, ctx, &mut states, in_class)?;
     }
-
     drop(phase2);
 
     // ---------------- Laggard phase (class 0). -----------------------------
@@ -569,19 +228,14 @@ pub fn solve_with_classes(
     // bounded by the longest directed laggard chain — linear in the worst
     // case (the price of sub-threshold lists; see DESIGN.md §S2b), short
     // in the pipelines where laggards are sparse.
-    let any_laggards = states
-        .iter()
-        .any(|s| s.active && !s.trivial && s.class == 0 && s.decided.is_none());
-    if any_laggards {
+    let waiting = |s: &Node| laggard(s) && s.decided.is_none();
+    if states.iter().any(waiting) {
         let _laggard = tracer.span(span::LAGGARD_CHAIN);
         let laggard_cap = n + 8;
         let mut iters = 0usize;
-        let mut stuck: Option<(NodeId, u64, u64)> = None;
+        let mut stall: Option<CoreError> = None;
         loop {
-            let remaining = states
-                .iter()
-                .filter(|s| s.active && !s.trivial && s.class == 0 && s.decided.is_none())
-                .count();
+            let remaining = states.iter().filter(|s| waiting(s)).count();
             if remaining == 0 {
                 break;
             }
@@ -591,73 +245,15 @@ pub fn solve_with_classes(
             if iters > laggard_cap {
                 // Past the directed-chain bound the phase has stalled:
                 // every remaining laggard missed its budget last round.
-                let (node, best, budget) = stuck.expect("an undecided laggard was stuck");
-                return Err(CoreError::PigeonholeFailed { node, best, budget });
+                return Err(stall.expect("an undecided laggard was stuck"));
             }
             // Try to commit. No laggard reads another's same-round
-            // decision, so the round is one decision batch.
-            stuck = None;
-            batch.clear();
-            let mut dec_nodes: Vec<usize> = Vec::new();
-            for (v, s) in states.iter().enumerate() {
-                if !(s.active && !s.trivial && s.class == 0 && s.decided.is_none()) {
-                    continue;
-                }
-                dec_nodes.push(v);
-                cache.push_decision(
-                    &mut batch,
-                    s.cand.as_ref().expect("committed in Phase 0"),
-                    (0..s.nb_relevant.len()).filter_map(|p| {
-                        if !(s.nb_relevant[p] && view.is_out_port(v as NodeId, p)) {
-                            return None;
-                        }
-                        if let Some(c) = s.nb_decided[p] {
-                            Some((Some(c), None))
-                        } else {
-                            // Undecided laggard out-neighbor: charge its
-                            // whole candidate set.
-                            s.nb_cand[p].as_ref().map(|cu| (None, Some(cu)))
-                        }
-                    }),
-                );
-            }
-            let results = cache.best_color_batch(&batch);
-            for (&v, best) in dec_nodes.iter().zip(results) {
-                let s = &mut states[v];
-                let (f, x) = best.expect("laggard candidate sets are non-empty");
-                if f <= s.defect {
-                    s.decided = Some(x);
-                } else {
-                    stuck.get_or_insert((v as NodeId, f, s.defect));
-                }
-            }
+            // decision, so the round is one decision batch; every
+            // undecided out-neighbor is charged its whole candidate set.
+            stall = steps::decide(ctx, &mut cache, &mut states, waiting, |_, _| true, 1).err();
             // Announce commitments (undecided laggards stay silent — their
             // candidate sets were already shared in Phase 0).
-            net.exchange(
-                &mut states,
-                |_, s, out: &mut ldc_sim::Outbox<'_, LaggardMsg>| {
-                    if s.active && !s.trivial && s.class == 0 {
-                        if let Some(c) = s.decided {
-                            out.broadcast(&LaggardMsg {
-                                color: c,
-                                group: s.group,
-                                space: ctx.space,
-                                m: ctx.m,
-                            });
-                        }
-                    }
-                },
-                |_, s, inbox| {
-                    if !s.active {
-                        return;
-                    }
-                    for (p, msg) in inbox.iter() {
-                        if msg.group == s.group {
-                            s.nb_decided[p] = Some(msg.color);
-                        }
-                    }
-                },
-            )?;
+            steps::announce::<LaggardMsg>(net, ctx, &mut states, laggard)?;
         }
     }
 
@@ -679,6 +275,21 @@ impl ldc_sim::MessageSize for LaggardMsg {
         ldc_sim::bits_for_value(self.space.saturating_sub(1)).max(1)
             + ldc_sim::bits_for_value(self.m.saturating_sub(1)).max(1)
             + ldc_sim::bits_for_value(self.group).max(1)
+    }
+}
+
+impl Announcement for LaggardMsg {
+    fn of(color: Color, group: u64, ctx: &OldcCtx<'_, '_>) -> Self {
+        LaggardMsg {
+            color,
+            group,
+            space: ctx.space,
+            m: ctx.m,
+        }
+    }
+
+    fn color_group(&self) -> (Color, u64) {
+        (self.color, self.group)
     }
 }
 
@@ -705,47 +316,15 @@ pub fn solve_oldc(
     lists: &[DefectList],
     cfg: &KernelConfig,
 ) -> Result<OldcOutcome, CoreError> {
-    let graph = ctx.view.graph();
-    let view = ctx.view;
-    let n = graph.num_nodes();
+    let n = ctx.view.graph().num_nodes();
     assert_eq!(lists.len(), n);
     let tracer = net.tracer().clone();
     let _thm11 = tracer.span(span::THM11);
 
     // Census: β per node (active same-group out-degree; unclamped count
     // kept for the trivial/laggard regimes).
-    let mut beta = vec![1u64; n];
-    let mut out_count = vec![0u64; n];
-    {
-        let _census = tracer.span(span::CENSUS);
-        let mut st: Vec<(bool, u64, u64)> = (0..n)
-            .map(|v| (ctx.active[v], ctx.group[v], 0u64))
-            .collect();
-        net.exchange(
-            &mut st,
-            |_, s, out: &mut ldc_sim::Outbox<'_, CensusMsg>| {
-                if s.0 {
-                    out.broadcast(&CensusMsg { group: s.1 });
-                }
-            },
-            |v, s, inbox| {
-                if !s.0 {
-                    return;
-                }
-                let mut b = 0u64;
-                for (p, m) in inbox.iter() {
-                    if m.group == s.1 && view.is_out_port(v, p) {
-                        b += 1;
-                    }
-                }
-                s.2 = b;
-            },
-        )?;
-        for (v, s) in st.iter().enumerate() {
-            out_count[v] = s.2;
-            beta[v] = s.2.max(1);
-        }
-    }
+    let out_count = steps::out_counts(net, ctx)?;
+    let beta: Vec<u64> = out_count.iter().map(|&c| c.max(1)).collect();
 
     // Global parameters (Δ/β-style knowledge).
     let beta_hat_max = (0..n)
@@ -757,7 +336,6 @@ pub fn solve_oldc(
     // γ-classes run up to log₂(4β̂) = h + 2 (the factor-4 condition of
     // Lemma 3.7 can push the smallest-defect class two above log β̂).
     let h_classes = h + 2;
-    let q_aux = h_classes.max(2);
     let g_aux = u64::from(h_classes.max(1).ilog2()); // ⌊log h⌋
     let alpha = u64::max(2, ctx.profile.alpha());
     // τ as the downstream per-class engine will see it (conservative: it
@@ -800,7 +378,6 @@ pub fn solve_oldc(
         let mut entries: Vec<(u64, u64)> = Vec::new();
         let mut best_len_for_class: std::collections::HashMap<u32, u64> =
             std::collections::HashMap::new();
-        let _ = (alpha, q_aux);
         for (&dhat, &len) in &bucket_len {
             // The natural class 2^i ≥ 4β_v/(d̂+1) satisfies both parts of
             // Lemma 3.7's degree condition outright (β_{v,i} ≤ β_v and
@@ -901,13 +478,6 @@ pub fn solve_oldc(
         stats,
         classes,
     })
-}
-
-/// Round a defect down so `d̂+1` is a power of two (the bucket key of
-/// Lemma 3.8; using `d̂ ≤ d` keeps every guarantee valid for the original
-/// defects).
-fn rounded_defect(d: u64) -> u64 {
-    (1u64 << (63 - (d + 1).leading_zeros())) - 1
 }
 
 #[cfg(test)]

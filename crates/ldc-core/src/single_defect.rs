@@ -19,19 +19,20 @@
 //!    node picks the `x ∈ C_v` minimizing the frequency
 //!    `f_v(x) = Σ_{u: i_u ≤ i_v} μ_g(x, C_u) + #{decided u: |x_u−x| ≤ g}`,
 //!    which the pigeonhole of §3.2.3 bounds by `d_v`.
+//!
+//! Steps 1, 4 and 5 are the shared round steps (`steps`) that Lemma 3.7
+//! also runs; this module supplies the γ-classes, the residue restriction,
+//! and the §3.2 budgets (`⌊d_v/2⌋` for `P1`, `d_v` for the decision).
 
 use crate::conflict::{best_residue, residue_restrict};
 use crate::cover::SeededSubset;
-use crate::ctx::{span, CandidateMsg, CensusMsg, CoreError, DecisionMsg, OldcCtx};
-use crate::kernels::{DecisionBatch, KernelConfig, KernelStats, ListPair, SelectReq, TypeCache};
+use crate::ctx::{span, CoreError, DecisionMsg, OldcCtx};
+use crate::kernels::{KernelConfig, KernelStats, TypeCache};
 use crate::params::{gamma_class, k_of_class};
 use crate::problem::Color;
+use crate::steps::{self, Node, Port};
 use ldc_graph::NodeId;
 use ldc_sim::Network;
-use std::sync::Arc;
-
-/// Cap on selection retries before reporting [`CoreError::SelectionExhausted`].
-const MAX_SELECTION_ROUNDS: u32 = 48;
 
 /// Result of [`solve_single_defect`].
 #[derive(Debug, Clone)]
@@ -45,34 +46,6 @@ pub struct SingleDefectOutcome {
     pub selection_rounds: u32,
     /// Kernel-cache accounting (selections, conflict verdicts, interning).
     pub kernels: KernelStats,
-}
-
-#[derive(Clone)]
-struct Ns {
-    active: bool,
-    group: u64,
-    init_color: u64,
-    defect: u64,
-    beta: u64,
-    /// Unclamped count of active same-group out-neighbors.
-    out_count: u64,
-    /// Defect ≥ out_count: any list color trivially satisfies the budget,
-    /// so the node skips the candidate machinery and decides first (this is
-    /// how the paper's auxiliary γ-class instances — whose defects exceed
-    /// β — are actually solved).
-    trivial: bool,
-    class: u32,
-    restricted: Vec<Color>,
-    k: usize,
-    attempt: u32,
-    cand: Arc<[Color]>,
-    failed: bool,
-    /// Per-port: is the neighbor an active same-group node?
-    nb_relevant: Vec<bool>,
-    nb_class: Vec<u32>,
-    nb_cand: Vec<Option<Arc<[Color]>>>,
-    nb_decided: Vec<Option<Color>>,
-    decided: Option<Color>,
 }
 
 /// Solve the generalized single-defect OLDC instance described in the
@@ -91,79 +64,26 @@ pub fn solve_single_defect(
     g: u64,
     cfg: &KernelConfig,
 ) -> Result<SingleDefectOutcome, CoreError> {
-    let graph = ctx.view.graph();
-    let n = graph.num_nodes();
+    let n = ctx.view.graph().num_nodes();
     assert_eq!(lists.len(), n);
     assert_eq!(defects.len(), n);
-
-    let mut states: Vec<Ns> = graph
-        .nodes()
-        .map(|v| {
-            let vz = v as usize;
-            let deg = graph.degree(v);
-            Ns {
-                active: ctx.active[vz],
-                group: ctx.group[vz],
-                init_color: ctx.init[vz],
-                defect: defects[vz],
-                beta: 1,
-                out_count: 0,
-                trivial: false,
-                class: 1,
-                restricted: Vec::new(),
-                k: 0,
-                attempt: 0,
-                cand: Arc::from([]),
-                failed: false,
-                nb_relevant: vec![false; deg],
-                nb_class: vec![0; deg],
-                nb_cand: vec![None; deg],
-                nb_decided: vec![None; deg],
-                decided: None,
-            }
-        })
-        .collect();
-
-    let tracer = net.tracer().clone();
+    let mut states = steps::nodes(ctx);
+    for (s, &defect) in states.iter_mut().zip(defects) {
+        s.defect = defect;
+    }
 
     // --- 1. census: learn β_v (active same-group out-degree). -------------
-    let view = ctx.view;
-    let census_span = tracer.span(span::CENSUS);
-    net.exchange(
-        &mut states,
-        |_, s, out: &mut ldc_sim::Outbox<'_, CensusMsg>| {
-            if s.active {
-                out.broadcast(&CensusMsg { group: s.group });
-            }
-        },
-        |v, s, inbox| {
-            if !s.active {
-                return;
-            }
-            let mut beta = 0u64;
-            for (p, m) in inbox.iter() {
-                if m.group == s.group {
-                    s.nb_relevant[p] = true;
-                    if view.is_out_port(v, p) {
-                        beta += 1;
-                    }
-                }
-            }
-            s.out_count = beta;
-            s.beta = beta.max(1);
-            s.trivial = s.defect >= s.out_count;
-        },
-    )?;
-
-    drop(census_span);
+    steps::census(net, ctx, &mut states, false)?;
+    let beta = |s: &Node| s.out_count.max(1);
 
     // --- 2. γ-classes and parameters (global h, Δ-style knowledge). -------
-    for s in states.iter_mut().filter(|s| s.active && !s.trivial) {
-        s.class = gamma_class(2, s.beta, s.defect + 1);
+    let acts = |s: &Node| s.active && !s.trivial;
+    for s in states.iter_mut().filter(|s| acts(s)) {
+        s.class = gamma_class(2, beta(s), s.defect + 1);
     }
     let h = states
         .iter()
-        .filter(|s| s.active && !s.trivial)
+        .filter(|s| acts(s))
         .map(|s| s.class)
         .max()
         .unwrap_or(1);
@@ -174,277 +94,68 @@ pub fn solve_single_defect(
         if !s.active {
             continue;
         }
+        let list = &lists[v];
         if s.trivial {
-            if lists[v].is_empty() {
+            if list.is_empty() {
                 return Err(CoreError::Precondition {
                     node: v as NodeId,
                     detail: "empty color list".into(),
                 });
             }
+            // Any color meets a trivial node's budget: it takes the first.
+            s.list = list[..1].to_vec();
             continue;
         }
-        let list = &lists[v];
-        let a = best_residue(list, g);
-        s.restricted = residue_restrict(list, a, g);
+        s.list = residue_restrict(list, best_residue(list, g), g);
         s.k = k_of_class(s.class, tau).min(u64::MAX >> 1) as usize;
-        if s.k > s.restricted.len() {
+        if s.k > s.list.len() {
             return Err(CoreError::Precondition {
                 node: v as NodeId,
                 detail: format!(
                     "restricted list has {} colors but class {} needs k = {} (τ = {tau}, β = {}, d = {})",
-                    s.restricted.len(),
+                    s.list.len(),
                     s.class,
                     s.k,
-                    s.beta,
+                    beta(s),
                     s.defect
                 ),
             });
         }
     }
 
-    // --- 4. P2 selection + P1 verification loop. ---------------------------
+    // --- 4. P2 selection + P1 verification loop: at most ⌊d/2⌋
+    // conflicting same-or-lower-class out-neighbors. ------------------------
+    let tracer = net.tracer().clone();
     let selection_span = tracer.span(span::SELECTION);
-    let strategy = SeededSubset { seed: ctx.seed };
     // One type cache per solve: τ and g are fixed from here on, so the
     // memoized selections and conflict verdicts are pure functions of their
     // keys (see `kernels`).
-    let mut cache = TypeCache::new(strategy, tau, g, cfg);
-    let mut selection_retries = 0u64;
-    let mut selection_rounds = 0u32;
-    let mut first_failed: Option<usize> = None;
-    loop {
-        selection_rounds += 1;
-        if selection_rounds > MAX_SELECTION_ROUNDS {
-            // Tracked during the previous verification pass (satellite: no
-            // O(n) rescan here).
-            let node = first_failed.expect("loop only continues while some node failed");
-            return Err(CoreError::SelectionExhausted {
-                node: node as NodeId,
-                attempts: MAX_SELECTION_ROUNDS,
-            });
-        }
-        // Batched selection (results and stats identical at every thread
-        // count — see `oldc`).
-        let sel_nodes: Vec<usize> = states
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.active && !s.trivial && (s.cand.is_empty() || s.failed))
-            .map(|(v, _)| v)
-            .collect();
-        let sel_reqs: Vec<SelectReq<'_>> = sel_nodes
-            .iter()
-            .map(|&v| {
-                let s = &states[v];
-                SelectReq {
-                    init_color: s.init_color,
-                    list: &s.restricted,
-                    k: s.k,
-                    attempt: s.attempt,
-                }
-            })
-            .collect();
-        let sel_sets = cache.select_batch(&sel_reqs);
-        drop(sel_reqs);
-        for (&v, set) in sel_nodes.iter().zip(sel_sets) {
-            states[v].cand = set;
-            states[v].failed = false;
-        }
-        net.exchange(
-            &mut states,
-            |_, s, out: &mut ldc_sim::Outbox<'_, CandidateMsg>| {
-                if s.active && !s.trivial {
-                    out.broadcast(&CandidateMsg {
-                        class: s.class,
-                        group: s.group,
-                        set: s.cand.clone(),
-                        declared_bits: CandidateMsg::type_bits(
-                            s.restricted.len() as u64,
-                            ctx.space,
-                            ctx.m,
-                            s.beta,
-                        ),
-                    });
-                }
-            },
-            |_, s, inbox| {
-                if !s.active || s.trivial {
-                    return;
-                }
-                for (p, m) in inbox.iter() {
-                    if m.group == s.group {
-                        s.nb_class[p] = m.class;
-                        s.nb_cand[p] = Some(m.set.clone());
-                    }
-                }
-            },
-        )?;
-        // P1 budget check (outside the consume closure so the cache
-        // memoizes verdicts across nodes; pure local recomputation —
-        // rounds and message bits are untouched): at most ⌊d/2⌋
-        // conflicting same-or-lower-class out-neighbors. Pairs gather in
-        // node/port order, resolve through `conflict_batch`, and apply in
-        // the same order.
-        let mut pairs: Vec<ListPair> = Vec::new();
-        for (v, s) in states.iter().enumerate() {
-            if !s.active || s.trivial {
-                continue;
-            }
-            for p in 0..s.nb_relevant.len() {
-                if !(s.nb_relevant[p] && view.is_out_port(v as NodeId, p)) {
-                    continue;
-                }
-                if s.nb_class[p] > s.class {
-                    continue;
-                }
-                if let Some(cu) = &s.nb_cand[p] {
-                    pairs.push((s.cand.clone(), cu.clone()));
-                }
-            }
-        }
-        let verdicts = cache.conflict_batch(&pairs);
-        let mut at = 0usize;
-        first_failed = None;
-        for (v, s) in states.iter_mut().enumerate() {
-            if !s.active || s.trivial {
-                continue;
-            }
-            let mut conflicts = 0u64;
-            for p in 0..s.nb_relevant.len() {
-                if !(s.nb_relevant[p] && view.is_out_port(v as NodeId, p)) {
-                    continue;
-                }
-                if s.nb_class[p] > s.class {
-                    continue;
-                }
-                if s.nb_cand[p].is_some() {
-                    if verdicts[at] {
-                        conflicts += 1;
-                    }
-                    at += 1;
-                }
-            }
-            if conflicts > s.defect / 2 {
-                s.failed = true;
-                s.attempt += 1;
-                first_failed.get_or_insert(v);
-            }
-        }
-        debug_assert_eq!(at, verdicts.len(), "gather/apply passes agree");
-        let failures = states.iter().filter(|s| s.failed).count() as u64;
-        selection_retries += failures;
-        tracer.add(span::CTR_SELECTION_RETRIES, failures);
-        if failures == 0 {
-            break;
-        }
-    }
+    let mut cache = TypeCache::new(SeededSubset { seed: ctx.seed }, tau, g, cfg);
+    let lower_or_same = |s: &Node, nb: &Port| nb.class <= s.class;
+    let (selection_retries, selection_rounds) = steps::select_until_verified(
+        net,
+        ctx,
+        &mut cache,
+        &mut states,
+        acts,
+        lower_or_same,
+        2,
+        beta,
+    )?;
     drop(selection_span);
 
-    // --- 5. decisions, γ-classes in descending order. ----------------------
+    // --- 5. decisions: trivial nodes first, then γ-classes in descending
+    // order, each within its full budget d. ---------------------------------
     let _decide_span = tracer.span(span::DECIDE);
-    // Trivial nodes (defect ≥ out-degree) decide first so everyone else can
-    // account for their exact colors.
-    if states.iter().any(|s| s.active && s.trivial) {
-        for (v, s) in states.iter_mut().enumerate() {
-            if s.active && s.trivial {
-                s.decided = Some(lists[v][0]);
-            }
-        }
-        net.exchange(
-            &mut states,
-            |_, s, out: &mut ldc_sim::Outbox<'_, DecisionMsg>| {
-                if s.active && s.trivial {
-                    out.broadcast(&DecisionMsg {
-                        color: s.decided.expect("decided above"),
-                        group: s.group,
-                        space: ctx.space,
-                    });
-                }
-            },
-            |_, s, inbox| {
-                if !s.active {
-                    return;
-                }
-                for (p, m) in inbox.iter() {
-                    if m.group == s.group {
-                        s.nb_decided[p] = Some(m.color);
-                    }
-                }
-            },
-        )?;
-    }
-    let mut batch = DecisionBatch::new();
+    steps::decide_trivial(net, ctx, &mut states)?;
     for class in (1..=h).rev() {
-        // Batched decisions: gather every node's frequency job in node
-        // order, evaluate in parallel chunks, apply in node order —
-        // identical to the per-node sequential pass.
-        let mut stuck: Option<(NodeId, u64, u64)> = None;
-        batch.clear();
-        let mut dec_nodes: Vec<usize> = Vec::new();
-        for (v, s) in states.iter().enumerate() {
-            if !(s.active && !s.trivial && s.class == class) {
-                continue;
-            }
-            dec_nodes.push(v);
-            cache.push_decision(
-                &mut batch,
-                &s.cand,
-                (0..s.nb_relevant.len()).filter_map(|p| {
-                    if !(s.nb_relevant[p] && view.is_out_port(v as NodeId, p)) {
-                        return None;
-                    }
-                    if let Some(c) = s.nb_decided[p] {
-                        Some((Some(c), None))
-                    } else if s.nb_class[p] <= s.class {
-                        s.nb_cand[p].as_ref().map(|cu| (None, Some(cu)))
-                    } else {
-                        None
-                    }
-                }),
-            );
-        }
-        let results = cache.best_color_batch(&batch);
-        for (&v, best) in dec_nodes.iter().zip(results) {
-            let s = &mut states[v];
-            let (f, x) = best.expect("candidate set is non-empty");
-            if f > s.defect {
-                stuck.get_or_insert((v as NodeId, f, s.defect));
-                continue;
-            }
-            s.decided = Some(x);
-        }
-        if let Some((node, best, budget)) = stuck {
-            return Err(CoreError::PigeonholeFailed { node, best, budget });
-        }
-        // Announce.
-        net.exchange(
-            &mut states,
-            |_, s, out: &mut ldc_sim::Outbox<'_, DecisionMsg>| {
-                if s.active && !s.trivial && s.class == class {
-                    if let Some(c) = s.decided {
-                        out.broadcast(&DecisionMsg {
-                            color: c,
-                            group: s.group,
-                            space: ctx.space,
-                        });
-                    }
-                }
-            },
-            |_, s, inbox| {
-                if !s.active {
-                    return;
-                }
-                for (p, m) in inbox.iter() {
-                    if m.group == s.group {
-                        s.nb_decided[p] = Some(m.color);
-                    }
-                }
-            },
-        )?;
+        let in_class = |s: &Node| acts(s) && s.class == class;
+        steps::decide(ctx, &mut cache, &mut states, in_class, lower_or_same, 1)?;
+        steps::announce::<DecisionMsg>(net, ctx, &mut states, in_class)?;
     }
 
-    let colors = states.iter().map(|s| s.decided).collect();
     Ok(SingleDefectOutcome {
-        colors,
+        colors: states.iter().map(|s| s.decided).collect(),
         selection_retries,
         selection_rounds,
         kernels: cache.stats,

@@ -17,7 +17,8 @@
 //! (`ldc_bench::cli`), so every subcommand gets `--key value` /
 //! `--key=value` spellings and unknown-flag errors for free.
 
-use ldc::batch::{parse_spec_file, parse_spec_file_strict, Fleet};
+use ldc::batch::jsonin::Value;
+use ldc::batch::{parse_spec_file, parse_spec_file_strict, Fleet, GraphSource};
 use ldc::bench::cli;
 use ldc::bench::history;
 use ldc::classic;
@@ -25,7 +26,7 @@ use ldc::core::congest::{congest_degree_plus_one, CongestBranch, CongestConfig};
 use ldc::core::ctx::span as spans;
 use ldc::core::validate::validate_proper_list_coloring;
 use ldc::core::SolveOptions;
-use ldc::graph::{analysis, generators, io, Graph};
+use ldc::graph::{analysis, io, Graph};
 use ldc::sim::json::Obj;
 use ldc::sim::telemetry::{strip_timing, timing_f64, EventSink, Registry, RunManifest};
 use ldc::sim::{Bandwidth, FaultPlan, Network, RetryPolicy, Tracer};
@@ -121,32 +122,35 @@ fn load(path: &str) -> Result<Graph, String> {
     io::read_edge_list(std::io::BufReader::new(f)).map_err(|e| e.to_string())
 }
 
+/// `ldc gen`'s positional parameters per family, named as in a job spec's
+/// `graph` object: the command builds through [`GraphSource`], so its
+/// parameter checks and generators are the batch runner's.
+const GEN_PARAMS: &[(&str, &[&str])] = &[
+    ("ring", &["n"]),
+    ("path", &["n"]),
+    ("complete", &["n"]),
+    ("torus", &["rows", "cols"]),
+    ("regular", &["n", "d"]),
+    ("gnp", &["n", "p_milli"]),
+    ("tree", &["n", "arity"]),
+    ("powerlaw", &["n", "m"]),
+    ("hypercube", &["dim"]),
+];
+
 fn cmd_gen(args: &[String]) -> Result<(), String> {
     let a = cli::parse(args, &[], &["--seed", "-o"])?;
     let family = a.positional(0).map_err(|_| usage())?;
     let seed: u64 = a.parse_or("--seed", 1)?;
-    let p1: Option<usize> = a
-        .positionals
-        .get(1)
-        .map(|s| parse_num(s, "param 1"))
-        .transpose()?;
-    let p2: Option<usize> = a
-        .positionals
-        .get(2)
-        .map(|s| parse_num(s, "param 2"))
-        .transpose()?;
-    let g = match (family, p1, p2) {
-        ("ring", Some(n), _) => generators::ring(n),
-        ("path", Some(n), _) => generators::path(n),
-        ("complete", Some(n), _) => generators::complete(n),
-        ("torus", Some(r), Some(c)) => generators::torus(r, c),
-        ("regular", Some(n), Some(d)) => generators::random_regular(n, d, seed),
-        ("gnp", Some(n), Some(milli)) => generators::gnp(n, milli as f64 / 1000.0, seed),
-        ("tree", Some(n), Some(arity)) => generators::complete_tree(n, arity),
-        ("powerlaw", Some(n), Some(m)) => generators::preferential_attachment(n, m, seed),
-        ("hypercube", Some(d), _) => generators::hypercube(d as u32),
-        _ => return Err(usage()),
-    };
+    let (_, params) = GEN_PARAMS
+        .iter()
+        .find(|(f, _)| *f == family)
+        .ok_or_else(usage)?;
+    let mut spec = Obj::new().str("family", family).u64("seed", seed);
+    for (i, name) in params.iter().enumerate() {
+        let raw = a.positionals.get(i + 1).ok_or_else(usage)?;
+        spec = spec.u64(name, parse_num(raw, &format!("param {}", i + 1))?);
+    }
+    let g = GraphSource::from_json(&Value::parse(&spec.finish())?)?.build()?;
     match a.get("-o") {
         Some(path) => {
             let f = std::fs::File::create(path).map_err(|e| format!("create {path}: {e}"))?;
